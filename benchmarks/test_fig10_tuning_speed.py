@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bench_common import print_table, run_once
+from repro.exits._reference import mismatched_fields, reference_tune_thresholds_greedy
 from repro.exits.thresholds import tune_thresholds_greedy, tune_thresholds_grid
 from repro.models.prediction import ramp_error_score
 
@@ -49,6 +50,9 @@ def test_fig10_greedy_vs_grid_runtime_and_optimality(benchmark, num_ramps):
     # Shape: the greedy search needs far fewer configuration evaluations and
     # the speedup grows with the number of ramps; the savings gap stays small.
     assert greedy.evaluations < grid.evaluations
+    # The incremental search is exactly the full-replay Algorithm 1.
+    reference = reference_tune_thresholds_greedy(errors, correct, depths, overheads, 20.0)
+    assert mismatched_fields(greedy, reference) == []
     if num_ramps >= 3:
         assert grid.runtime_ms > greedy.runtime_ms
     assert gap_pct < 10.0

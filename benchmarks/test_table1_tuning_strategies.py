@@ -12,6 +12,7 @@ import pytest
 from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
 from repro.baselines.static_ee import _observation_matrices
 from repro.core.pipeline import model_stack, run_apparate, run_vanilla
+from repro.exits._reference import mismatched_fields, reference_tune_thresholds_greedy
 from repro.exits.evaluation import evaluate_thresholds
 from repro.exits.placement import initial_ramp_selection
 from repro.exits.thresholds import tune_thresholds_greedy
@@ -39,6 +40,9 @@ def one_time_strategy(model_name, workload, sample: str):
     cal_errors, cal_correct = _observation_matrices(calibration, prediction, depths)
     tuned = tune_thresholds_greedy(cal_errors, cal_correct, depths, overheads,
                                    spec.bs1_latency_ms, accuracy_constraint=0.01)
+    reference = reference_tune_thresholds_greedy(cal_errors, cal_correct, depths, overheads,
+                                                 spec.bs1_latency_ms, accuracy_constraint=0.01)
+    assert mismatched_fields(tuned, reference) == []
     errors, correct = _observation_matrices(workload.trace, prediction, depths)
     evaluation = evaluate_thresholds(errors, correct, tuned.thresholds, depths, overheads,
                                      spec.bs1_latency_ms)

@@ -16,6 +16,7 @@ accounting that ramp adjustment (§3.3) consumes.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -208,12 +209,19 @@ class WindowBuffer:
         return np.vstack(list(self._correct))
 
     def latest(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the most recent ``count`` rows of (errors, correctness)."""
-        errors = self.errors_matrix()
-        correct = self.correct_matrix()
-        if count < errors.shape[0]:
-            return errors[-count:], correct[-count:]
-        return errors, correct
+        """Return the most recent ``count`` rows of (errors, correctness).
+
+        Only those rows are stacked; ``count=0`` returns empty matrices and a
+        ``count`` beyond the buffered length returns every row.
+        """
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        if count == 0 or not self._errors:
+            return (np.zeros((0, len(self.ramp_ids))),
+                    np.zeros((0, len(self.ramp_ids)), dtype=bool))
+        skip = max(len(self._errors) - count, 0)
+        return (np.vstack(list(itertools.islice(self._errors, skip, None))),
+                np.vstack(list(itertools.islice(self._correct, skip, None))))
 
     def evaluate(self, thresholds: Sequence[float], depths: Sequence[float],
                  overheads_ms: Sequence[float], full_latency_ms: float,

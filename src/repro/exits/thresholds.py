@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,13 +53,6 @@ class ThresholdTuningResult:
         return {int(r): float(t) for r, t in zip(ramp_ids, self.thresholds)}
 
 
-def _evaluate(errors: np.ndarray, correct: np.ndarray, thresholds: Sequence[float],
-              depths: Sequence[float], overheads_ms: Sequence[float],
-              full_latency_ms: float) -> ConfigEvaluation:
-    return evaluate_thresholds(errors, correct, thresholds, depths, overheads_ms,
-                               full_latency_ms)
-
-
 def tune_thresholds_greedy(errors: np.ndarray, correct: np.ndarray,
                            depths: Sequence[float], overheads_ms: Sequence[float],
                            full_latency_ms: float, accuracy_constraint: float = 0.01,
@@ -85,54 +78,98 @@ def tune_thresholds_greedy(errors: np.ndarray, correct: np.ndarray,
         perfect by luck; the margin demands statistical headroom (e.g. a
         margin of 1 on a 256-sample window only admits thresholds whose
         observed loss is at least one sample below the budget).
+
+    Candidates are scored incrementally.  The search keeps every sample's
+    first exiting ramp under the current thresholds; raising ramp ``r``'s
+    threshold can only move samples that still reach ``r`` un-exited to an
+    exit at ``r``, so a candidate costs a few O(num_samples) array ops
+    instead of a full replay.  The scores are bit-identical to
+    :func:`~repro.exits.evaluation.evaluate_thresholds`, which produces the
+    returned evaluation of the chosen thresholds.
     """
     start = time.perf_counter()
+    if initial_step < 0.0:
+        raise ValueError("initial_step must be non-negative")
     depths = list(depths)
     num_ramps = len(depths)
+    errors = np.atleast_2d(np.asarray(errors, dtype=float))
+    correct = np.atleast_2d(np.asarray(correct, dtype=bool))
+    overheads = np.asarray(list(overheads_ms), dtype=float)
+    if correct.shape != errors.shape:
+        raise ValueError("errors and correct must have the same shape")
+    if not (overheads.size == num_ramps == errors.shape[1]):
+        raise ValueError("per-ramp arrays must match the number of ramp columns")
     thresholds = [0.0] * num_ramps
     step_sizes = [float(initial_step)] * num_ramps
-    num_samples = int(np.atleast_2d(np.asarray(errors)).shape[0]) if num_ramps else 0
+    n = errors.shape[0]
     min_accuracy = 1.0 - float(accuracy_constraint)
-    if conservative_margin > 0.0 and num_samples > 0:
-        min_accuracy += conservative_margin / num_samples
+    if conservative_margin > 0.0 and n > 0:
+        min_accuracy += conservative_margin / n
 
-    evaluations = 0
+    # Replay tables, built once.  Column ``num_ramps`` stands for "no exit":
+    # such a sample is always correct and pays every ramp's overhead.
+    error_columns = np.ascontiguousarray(errors.T)
+    correct_cells = np.ones((n, num_ramps + 1), dtype=bool)
+    correct_cells[:, :num_ramps] = correct
+    correct_cells = correct_cells.ravel()
+    row_offsets = np.arange(n) * (num_ramps + 1)
+    cumulative_overhead = np.cumsum(overheads)
+    savings_by_exit = np.empty(num_ramps + 1, dtype=float)
+    savings_by_exit[:num_ramps] = (full_latency_ms * (1.0 - np.asarray(depths, dtype=float))
+                                   - cumulative_overhead)
+    savings_by_exit[num_ramps] = -float(cumulative_overhead[-1]) if num_ramps else 0.0
+
+    def replay(first_exit: np.ndarray) -> Tuple[float, float]:
+        """(accuracy, mean savings) of an exit assignment."""
+        if n == 0:
+            return 1.0, 0.0
+        num_correct = np.count_nonzero(correct_cells[row_offsets + first_exit])
+        return num_correct / n, float(savings_by_exit[first_exit].mean())
+
+    first_exit = np.full(n, num_ramps, dtype=np.intp)
+    best_accuracy, best_savings = replay(first_exit)
+    evaluations = 1
     rounds = 0
-    best_eval = _evaluate(errors, correct, thresholds, depths, overheads_ms, full_latency_ms)
-    evaluations += 1
 
     while rounds < max_rounds:
         rounds += 1
         best_ramp: Optional[int] = None
         best_score = -np.inf
-        best_candidate_eval: Optional[ConfigEvaluation] = None
+        best_first_exit = first_exit
+        best_candidate = (best_accuracy, best_savings)
         best_candidate_threshold = 0.0
         overstepped: List[int] = []
 
         for ramp in range(num_ramps):
             if thresholds[ramp] >= 1.0:
                 continue
-            trial = list(thresholds)
-            trial[ramp] = min(1.0, trial[ramp] + step_sizes[ramp])
-            candidate = _evaluate(errors, correct, trial, depths, overheads_ms, full_latency_ms)
+            threshold = min(1.0, thresholds[ramp] + step_sizes[ramp])
+            if threshold > 0.0:
+                newly_exiting = (first_exit > ramp) & (error_columns[ramp] < threshold)
+                candidate_first_exit = np.where(newly_exiting, ramp, first_exit)
+            else:
+                candidate_first_exit = first_exit
+            accuracy, savings = replay(candidate_first_exit)
             evaluations += 1
-            if candidate.accuracy < min_accuracy:
+            if accuracy < min_accuracy:
                 overstepped.append(ramp)
                 continue
-            gain = candidate.mean_savings_ms - best_eval.mean_savings_ms
-            loss = max(best_eval.accuracy - candidate.accuracy, 0.0)
+            gain = savings - best_savings
+            loss = max(best_accuracy - accuracy, 0.0)
             if gain <= 0.0:
                 continue
             score = gain / max(loss, _EPS_LOSS)
             if score > best_score:
                 best_score = score
                 best_ramp = ramp
-                best_candidate_eval = candidate
-                best_candidate_threshold = trial[ramp]
+                best_first_exit = candidate_first_exit
+                best_candidate = (accuracy, savings)
+                best_candidate_threshold = threshold
 
-        if best_ramp is not None and best_candidate_eval is not None:
+        if best_ramp is not None:
             thresholds[best_ramp] = best_candidate_threshold
-            best_eval = best_candidate_eval
+            first_exit = best_first_exit
+            best_accuracy, best_savings = best_candidate
             step_sizes[best_ramp] = min(step_sizes[best_ramp] * 2.0, 0.5)
             # Overstepped ramps still shrink their steps to zoom into the
             # accuracy boundary in later rounds.
@@ -150,8 +187,10 @@ def tune_thresholds_greedy(errors: np.ndarray, correct: np.ndarray,
         if not progressed:
             break
 
+    evaluation = evaluate_thresholds(errors, correct, thresholds, depths, overheads_ms,
+                                     full_latency_ms)
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    return ThresholdTuningResult(thresholds=thresholds, evaluation=best_eval,
+    return ThresholdTuningResult(thresholds=thresholds, evaluation=evaluation,
                                  rounds=rounds, evaluations=evaluations,
                                  runtime_ms=runtime_ms)
 
@@ -173,10 +212,12 @@ def tune_thresholds_grid(errors: np.ndarray, correct: np.ndarray,
     min_accuracy = 1.0 - float(accuracy_constraint)
 
     best_thresholds = [0.0] * num_ramps
-    best_eval = _evaluate(errors, correct, best_thresholds, depths, overheads_ms, full_latency_ms)
+    best_eval = evaluate_thresholds(errors, correct, best_thresholds, depths, overheads_ms,
+                                    full_latency_ms)
     evaluations = 1
     for combo in itertools.product(values, repeat=num_ramps):
-        candidate = _evaluate(errors, correct, list(combo), depths, overheads_ms, full_latency_ms)
+        candidate = evaluate_thresholds(errors, correct, list(combo), depths, overheads_ms,
+                                        full_latency_ms)
         evaluations += 1
         if candidate.accuracy < min_accuracy:
             continue

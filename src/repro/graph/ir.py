@@ -92,10 +92,11 @@ class ModelGraph:
     def add_edge(self, src: str, dst: str) -> None:
         if src not in self._nodes or dst not in self._nodes:
             raise KeyError(f"unknown node in edge {src!r} -> {dst!r}")
-        self._g.add_edge(src, dst)
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_edge(src, dst)
+        # The graph is acyclic before the insert, so the edge closes a cycle
+        # exactly when ``dst`` already reaches ``src`` (or they coincide).
+        if nx.has_path(self._g, dst, src):
             raise ValueError(f"edge {src!r} -> {dst!r} would create a cycle")
+        self._g.add_edge(src, dst)
 
     # ------------------------------------------------------------ inspection
     @property

@@ -139,8 +139,11 @@ class PredictionModel:
 
     def is_correct(self, raw_difficulty: float, depth_fraction: float) -> bool:
         """Whether a ramp at ``depth_fraction`` matches the original model."""
-        d = self.required_depth(raw_difficulty)
-        if depth_fraction >= d:
+        return self._agrees(raw_difficulty, self.required_depth(raw_difficulty), depth_fraction)
+
+    def _agrees(self, raw_difficulty: float, required_depth: float,
+                depth_fraction: float) -> bool:
+        if depth_fraction >= required_depth:
             return True
         return self._confusion_draw(raw_difficulty, depth_fraction) < _GUESS_AGREEMENT
 
@@ -155,15 +158,15 @@ class PredictionModel:
         model (§3).
         """
         d = self.required_depth(raw_difficulty)
-        observations: List[RampObservation] = []
-        for ramp_id, depth in zip(ramp_ids, ramp_depths):
-            err = float(ramp_error_score(d, depth, sharpness, confidence_shift))
-            correct = self.is_correct(raw_difficulty, depth)
-            observations.append(RampObservation(ramp_id=int(ramp_id),
-                                                depth_fraction=float(depth),
-                                                error_score=err,
-                                                correct=correct))
-        return observations
+        depths = list(ramp_depths)
+        # One vectorized score over all ramps; element for element it equals
+        # the scalar ``error_score`` (same ``np.exp``/``np.clip`` ufuncs).
+        errors = np.atleast_1d(ramp_error_score(d, np.asarray(depths, dtype=float),
+                                                sharpness, confidence_shift))
+        return [RampObservation(ramp_id=int(ramp_id), depth_fraction=float(depth),
+                                error_score=float(err),
+                                correct=self._agrees(raw_difficulty, d, depth))
+                for ramp_id, depth, err in zip(ramp_ids, depths, errors)]
 
     def exit_depth(self, raw_difficulty: float, sharpness: float,
                    ramp_depths: Sequence[float], thresholds: Sequence[float],

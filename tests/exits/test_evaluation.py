@@ -139,6 +139,26 @@ class TestWindowBuffer:
         errors, correct = buffer.latest(2)
         assert errors.shape == (2, 1)
         assert errors[-1, 0] == pytest.approx(0.5)
+        assert errors[:, 0].tolist() == pytest.approx([0.4, 0.5])
+
+        errors, correct = buffer.latest(0)
+        assert errors.shape == (0, 1) and correct.shape == (0, 1)
+        assert correct.dtype == bool
+
+        errors, correct = buffer.latest(50)
+        assert np.array_equal(errors, buffer.errors_matrix())
+        assert np.array_equal(correct, buffer.correct_matrix())
+
+        with pytest.raises(ValueError):
+            buffer.latest(-1)
+
+    def test_evaluate_on_empty_window_sees_no_samples(self):
+        buffer = WindowBuffer([0], capacity=10)
+        for i in range(5):
+            buffer.record([self.obs(0, 0.3, 0.1, False)])
+        evaluation = buffer.evaluate([0.5], [0.3], [0.0], 10.0, window=0)
+        assert evaluation.num_samples == 0
+        assert buffer.evaluate([0.5], [0.3], [0.0], 10.0, window=3).num_samples == 3
 
     def test_rebuild_preserves_shared_columns(self):
         buffer = WindowBuffer([0, 1], capacity=8)

@@ -38,6 +38,26 @@ def test_cycle_rejected():
     g.add_edge("a", "b")
     with pytest.raises(ValueError):
         g.add_edge("b", "a")
+    assert g.edges() == [("a", "b")]
+
+    with pytest.raises(ValueError):
+        g.add_edge("a", "a")
+    assert g.edges() == [("a", "b")]
+
+    # A back-edge from the end of a long chain to its start.
+    names = [f"n{i}" for i in range(20)]
+    for name in names:
+        g.add_node(Node(name, OpCategory.CONV))
+    g.add_edge("b", names[0])
+    for src, dst in zip(names, names[1:]):
+        g.add_edge(src, dst)
+    before = g.edges()
+    for src in (names[-1], names[5]):
+        with pytest.raises(ValueError, match="cycle"):
+            g.add_edge(src, "a")
+        assert g.edges() == before
+    g.add_edge("a", names[-1])  # a forward shortcut is still legal
+    assert sorted(g.edges()) == sorted(before + [("a", names[-1])])
 
 
 def test_topological_order_respects_edges():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models.prediction import (
     PredictionModel,
@@ -68,6 +70,29 @@ def test_observe_covers_every_active_ramp(prediction):
     assert [o.ramp_id for o in observations] == [2, 5, 9]
     errors = [o.error_score for o in observations]
     assert errors[0] > errors[1] > errors[2]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(model_name=st.sampled_from(["resnet50", "bert-base", "t5-large"]),
+       raw=st.floats(-0.2, 1.2),
+       sharpness=st.floats(1e-7, 0.3),
+       shift=st.floats(-0.5, 0.5),
+       depths=st.lists(st.floats(0.0, 1.0), max_size=12),
+       as_array=st.booleans())
+def test_observe_equals_per_ramp_scalar_calls(model_name, raw, sharpness, shift, depths,
+                                              as_array):
+    """The batched ``observe`` reproduces the scalar per-ramp calls exactly."""
+    model = PredictionModel(get_model(model_name), seed=3)
+    ramp_ids = list(range(len(depths)))
+    ramp_depths = np.asarray(depths, dtype=float) if as_array else depths
+    observations = model.observe(raw, sharpness, ramp_ids, ramp_depths,
+                                 confidence_shift=shift)
+    assert [o.ramp_id for o in observations] == ramp_ids
+    for obs, depth in zip(observations, depths):
+        assert obs.depth_fraction == depth
+        assert obs.error_score == model.error_score(raw, depth, sharpness, shift)
+        assert obs.correct is model.is_correct(raw, depth)
 
 
 def test_observation_would_exit_threshold_semantics(prediction):
