@@ -85,6 +85,11 @@ class SequenceSample:
     def num_tokens(self) -> int:
         return int(self.token_difficulty.size)
 
+    @property
+    def request_id(self) -> int:
+        """The id fleet code keys any routed item by (as on ``Request``)."""
+        return self.sequence_id
+
 
 @dataclass
 class GenerativeWorkload:

@@ -118,8 +118,8 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
         if handles and (len(handles) > 1
                         or any(e.status == DRAINING and e.state.queue
                                for e in fleet.entries)):
-            rerouted += self._salvage_doomed(fleet, active, handles, now,
-                                             rerouted_ids)
+            rerouted += self._salvage_doomed(fleet.serving(), active,
+                                             handles, now, rerouted_ids)
 
         next_arrival_ms = (pending[next_arrival].arrival_ms
                            if next_arrival < num_requests else np.inf)

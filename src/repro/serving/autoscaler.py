@@ -35,7 +35,7 @@ target the event loop applies is emitted as the ``autoscaler_target`` gauge
 (de-duplicated — one sample per *change* of target, tagged with the pool it
 sizes), and the ``fleet_size``/``active_replicas`` gauges show the fleet
 actually following it after ``provision_delay_ms`` and drains.  See
-:meth:`repro.serving.kernel.SimPlatform.scale_pool` and
+:meth:`repro.serving.kernel.PoolRuntime.scale` and
 :mod:`repro.obs`.
 """
 

@@ -78,23 +78,21 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.faults import FaultSchedule, FaultSpec, coerce_faults
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
-from repro.serving.fleet import (ACTIVE, DRAINING, RETIRED, FleetState,
-                                 ReplicaEntry, ReplicaHandle, ReplicaProfile)
-from repro.serving.kernel import (PoolState, SimPlatform, pool_is_static,
-                                  scale_pool)
+from repro.serving.fleet import (DRAINING, FleetState, ReplicaEntry,
+                                 ReplicaHandle, ReplicaProfile)
+from repro.serving.kernel import RUNNER_KINDS, PoolRuntime, SimPlatform
 from repro.serving.metrics import ClusterMetrics
-from repro.serving.platform import (BatchExecutorFn, BatchResult, ReplicaState,
-                                    ServingPlatform)
+from repro.serving.platform import BatchExecutorFn, BatchResult, ServingPlatform
 from repro.serving.request import Request
 from repro.tenancy import (TenancyConfig, build_request_runtime, coerce_tenancy,
-                           request_rollups, tenant_backlog)
+                           request_rollups)
 
 __all__ = [
     "ReplicaHandle",
@@ -530,11 +528,15 @@ class ClusterPlatform:
         return lambda ordinal: executor_list[ordinal]
 
     def _spawn(self, fleet: FleetState, factory: Callable[[int], BatchExecutorFn],
-               now_ms: float) -> ReplicaEntry:
-        """Bring one scaled-out replica online."""
-        platform = self.replica_factory()
-        ordinal = fleet.next_ordinal()
-        return fleet.add(platform, factory(ordinal), self.scale_out_profile, now_ms)
+               now_ms: float, crashed: Optional[ReplicaEntry] = None
+               ) -> ReplicaEntry:
+        """Bring one replica online: a scale-out boot, or the crashed
+        entry's platform and profile rebooted with a fresh executor."""
+        if crashed is None:
+            platform, profile = self.replica_factory(), self.scale_out_profile
+        else:
+            platform, profile = crashed.platform, crashed.profile
+        return fleet.add(platform, factory(fleet.next_ordinal()), profile, now_ms)
 
     # ------------------------------------------------------------- salvage
     @staticmethod
@@ -552,7 +554,8 @@ class ClusterPlatform:
         return now_ms + handle.backlog_ms(now_ms) \
             + per_batch * math.ceil(jobs_ahead / full)
 
-    def _salvage_doomed(self, fleet: FleetState, active: List[ReplicaEntry],
+    def _salvage_doomed(self, serving: List[ReplicaEntry],
+                        active: List[ReplicaEntry],
                         handles: List[ReplicaHandle], now_ms: float,
                         rerouted_ids: Set[int]) -> int:
         """Re-route doomed queued requests once to a replica that can serve them.
@@ -565,7 +568,7 @@ class ClusterPlatform:
         reroutes convert drops into goodput rather than shuffling lost causes.
         """
         moved = 0
-        for entry in fleet.serving():
+        for entry in serving:
             if not entry.platform.drop_expired or not entry.state.queue:
                 continue
             source = entry.handle
@@ -645,10 +648,7 @@ class ClusterPlatform:
         last_event = max((e.state.last_event_ms for e in fleet.entries
                           if np.isfinite(e.state.last_event_ms)), default=start)
         metrics = self._collect(fleet, start, last_event, runner.rerouted)
-        metrics.crashes = runner.crashes
-        metrics.recoveries = runner.recoveries
-        metrics.requeued = runner.requeued
-        metrics.kernel_stats = self.last_kernel_stats
+        runner.record_run(metrics)
         if tenant_runtime is not None:
             metrics.tenant_rollups = request_rollups(
                 metrics.aggregate().responses, tenant_runtime,
@@ -674,8 +674,8 @@ class ClusterPlatform:
         )
 
 
-#: event kinds of the kernel-scheduled cluster run.
-_BOOT, _COMPLETION, _TIMER, _CRASH, _RECOVER = 0, 1, 2, 3, 4
+#: runner event kinds: a batch completed, a batching-policy timer fired.
+_COMPLETION, _TIMER = RUNNER_KINDS, RUNNER_KINDS + 1
 
 
 def gate_exits(batch: Sequence[Request], result: BatchResult,
@@ -715,7 +715,9 @@ class _ClusterRun(SimPlatform):
     the difference is purely *which replicas* the serving phase touches — the
     dirty set (queue changed, batch completed, policy timer fired) instead of
     the whole fleet — and how the clock advances (event heap instead of a
-    collect-and-min over every replica's wake time).
+    collect-and-min over every replica's wake time).  Routing, scaling,
+    crashes and gauges run on the pool's :class:`PoolRuntime`; salvage,
+    expiry and exit gating are this runner's own.
     """
 
     def __init__(self, cluster: ClusterPlatform, pending: List[Request],
@@ -723,205 +725,75 @@ class _ClusterRun(SimPlatform):
                  fleet: FleetState, start_ms: float,
                  tenant_runtime=None,
                  faults: Optional[FaultSchedule] = None) -> None:
-        super().__init__(start_ms)
+        super().__init__(start_ms, pending)
         self.install_obs(cluster.obs, start_ms)
         self.cluster = cluster
-        self._tenant_runtime = tenant_runtime
-        self.pending = pending
-        self.arrival_times = [r.arrival_ms for r in pending]
-        self.num_requests = len(pending)
-        self.next_arrival = 0
         self.factory = factory
         self.fleet = fleet
-        self.pool = PoolState(fleet)
+        self.pool = PoolRuntime(self, fleet, cluster.balancer,
+                                cluster.autoscaler, cluster.min_replicas,
+                                cluster.max_replicas, self._join,
+                                tenants=tenant_runtime)
         self.rerouted = 0
         self.rerouted_ids: Set[int] = set()
         #: tenancy exit gating (queue ordering rides on Request.rank).
         self._gated_ids: Set[int] = (tenant_runtime.no_exit_ids
                                      if tenant_runtime is not None else set())
-        #: fault injection counters + the crashed hardware awaiting recovery.
-        self.crashes = 0
-        self.recoveries = 0
-        self.requeued = 0
-        self._crash_stock: List[Tuple[ServingPlatform, ReplicaProfile]] = []
-        if faults is not None:
-            for fault in faults:
-                # A crash scheduled before the first arrival fires with it.
-                self.events.push(max(fault.crash_ms, start_ms), _CRASH, fault)
+        self.schedule_faults(faults, start_ms)
         #: ``expire``/salvage are global no-ops unless some member drops on
         #: SLO expiry; precomputed so the common fleet skips both phases.
         self._drop_expired = any(e.platform.drop_expired
                                  for e in self.pool.serving)
-        self._exhausted = self.num_requests == 0
-        #: fixed-size fleet in band: the per-pass autoscaler consult is a
-        #: proven no-op, so the hot loop skips it entirely.
-        self._autoscaled = not pool_is_static(cluster.autoscaler, self.pool,
-                                              cluster.min_replicas,
-                                              cluster.max_replicas)
+        self._exhausted = self.num_items == 0
 
-    # ------------------------------------------------------------------ gauges
-    def sample_gauges(self, now_ms: float) -> None:
-        obs = self.obs
-        pool = self.pool
-        depth = 0
-        busy = 0
-        for entry in pool.serving:
-            depth += len(entry.state.queue)
-            if not entry.state.idle_at(now_ms):
-                busy += 1
-        obs.gauge(now_ms, "queue_depth", depth, pool="serve")
-        obs.gauge(now_ms, "busy_replicas", busy, pool="serve")
-        obs.gauge(now_ms, "active_replicas", len(pool.active), pool="serve")
-        runtime = self._tenant_runtime
-        if runtime is not None:
-            backlog = tenant_backlog(
-                (request.request_id for entry in pool.serving
-                 for request in entry.state.queue), runtime.tenant_of)
-            for tenant, count in backlog.items():
-                obs.gauge(now_ms, "tenant_backlog", count, pool="serve",
-                          tenant=tenant)
+    def _join(self, now_ms: float, crashed: Optional[ReplicaEntry]) -> ReplicaEntry:
+        """Pool factory: boot or rebuild a replica; a member that drops on
+        SLO expiry switches the salvage and expiry phases on."""
+        entry = self.cluster._spawn(self.fleet, self.factory, now_ms, crashed)
+        if entry.platform.drop_expired:
+            self._drop_expired = True
+        return entry
 
     # --------------------------------------------------------- kernel contract
     def done(self, now_ms: float) -> bool:
-        if self.next_arrival < self.num_requests:
+        if self.next_arrival < self.num_items:
             return False
         for entry in self.pool.serving:
             if entry.state.queue:
                 return False
         return True
 
-    def next_external_ms(self, now_ms: float) -> Optional[float]:
-        if self.next_arrival < self.num_requests:
-            return self.arrival_times[self.next_arrival]
-        return None
-
     def on_event(self, event) -> None:
         kind = event.kind
         if kind == _COMPLETION:
-            self.wake(event.payload)
+            self.pool.wake(event.payload)
         elif kind == _TIMER:
             entry = event.payload
             entry._wake_event = None
-            self.wake(entry)
-        elif kind == _CRASH:
-            self._crash(event.payload, self.clock.now_ms)
-        elif kind == _RECOVER:
-            self._recover(self.clock.now_ms)
-        else:  # _BOOT: provisioning completed, bring the replica online.
-            pool = self.pool
-            pool.boots.remove(event)
-            entry = self.cluster._spawn(self.fleet, self.factory,
-                                        self.clock.now_ms)
-            pool.add(entry)
-            if entry.platform.drop_expired:
-                self._drop_expired = True
-
-    # ------------------------------------------------------------------ faults
-    def _crash(self, fault: FaultSpec, now: float) -> None:
-        """Force-retire one replica; requeue its queued work, salvage in-flight.
-
-        The oldest active replica crashes (deterministic victim selection).
-        Its in-flight batch is salvaged — classification records results at
-        dispatch, so near-finished work stays client-visible — while queued
-        requests requeue to the survivors through the run's balancer.  The
-        crashed hardware boots back ``down_ms`` later (the outage subsumes
-        provisioning).  A crash that would empty the fleet is skipped: the
-        last replica never dies, so conservation holds by construction.
-        """
-        pool = self.pool
-        if len(pool.active) < 2:
-            return
-        victim = min(pool.active, key=lambda e: e.replica_id)
-        self.fleet.drain(victim, now)
-        pool.draining += 1
-        pool.refresh_active()
-        orphans = victim.state.queue
-        victim.state.queue = []
-        self.crashes += 1
-        self._crash_stock.append((victim.platform, victim.profile))
-        self.events.push(now + fault.down_ms, _RECOVER, fault)
-        self.wake(victim)  # retire once its salvaged batch finishes
-        if orphans:
-            balancer = self.cluster.balancer
-            handles = pool.handles
-            active = pool.active
-            obs = self.obs
-            for request in orphans:
-                index = int(balancer.choose(request, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose replica "
-                                     f"{index} of {len(active)}")
-                entry = active[index]
-                entry.platform.admit(entry.state, request)
-                if obs.enabled:
-                    obs.annotate(request.request_id, requeued=True)
-                self.wake(entry)
-            self.requeued += len(orphans)
-
-    def _recover(self, now: float) -> None:
-        """Boot a replacement for the oldest still-unrecovered crash."""
-        platform, profile = self._crash_stock.pop(0)
-        entry = self.fleet.add(platform, self.factory(self.fleet.next_ordinal()),
-                               profile, now)
-        self.pool.add(entry)
-        self.recoveries += 1
-        if entry.platform.drop_expired:
-            self._drop_expired = True
+            self.pool.wake(entry)
+        else:
+            super().on_event(event)
 
     # ------------------------------------------------------------------- pass
     def step(self, now: float) -> bool:
         cluster = self.cluster
         pool = self.pool
-        fleet = self.fleet
-        active = pool.active
-        handles = pool.handles
-        arrivals = self.arrival_times
-        num_requests = self.num_requests
-        next_arrival = self.next_arrival
+        wake = pool.wake
 
         # Phase 1: admit + dispatch everything that has arrived by now.
-        admitted = 0
-        if next_arrival < num_requests \
-                and arrivals[next_arrival] <= now + 1e-9:
-            pending = self.pending
-            balancer = cluster.balancer
-            obs = self.obs
-            runtime = self._tenant_runtime
-            tag_tenants = obs.enabled and runtime is not None
-            while (next_arrival < num_requests
-                   and arrivals[next_arrival] <= now + 1e-9):
-                request = pending[next_arrival]
-                index = int(balancer.choose(request, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose replica "
-                                     f"{index} of {len(active)}")
-                entry = active[index]
-                entry.platform.admit(entry.state, request)
-                if tag_tenants:
-                    obs.annotate(request.request_id,
-                                 tenant=runtime.tenant_of.get(request.request_id))
-                entry.dispatched += 1
-                next_arrival += 1
-                admitted += 1
-                self.wake(entry)
-            self.next_arrival = next_arrival
-        if admitted:
-            cluster.autoscaler.observe_admitted(admitted, now)
-        if next_arrival >= num_requests and not self._exhausted:
+        self.admit_arrivals(pool, now)
+        if self.next_arrival >= self.num_items and not self._exhausted:
             # The livelock guard switches from "wait for the next arrival" to
             # "force progress" the moment the trace runs out; re-consult every
             # replica still holding work so it can take that branch now.
             self._exhausted = True
             for entry in pool.serving:
                 if entry.state.queue:
-                    self.wake(entry)
+                    wake(entry)
 
         # Phase 2: autoscaler decision on the global clock.
-        if self._autoscaled:
-            scale_pool(self, pool, cluster.autoscaler, now,
-                       cluster.min_replicas, cluster.max_replicas, _BOOT)
-            active = pool.active
-            handles = pool.handles
+        pool.scale(now)
+        handles = pool.handles
 
         # Phase 3: cluster-level drop salvage.  One active replica is enough
         # when draining replicas still hold queues — their doomed requests
@@ -929,16 +801,16 @@ class _ClusterRun(SimPlatform):
         if self._drop_expired and handles and (
                 len(handles) > 1
                 or any(e.status == DRAINING and e.state.queue
-                       for e in fleet.entries)):
-            moved = cluster._salvage_doomed(fleet, active, handles, now,
-                                            self.rerouted_ids)
+                       for e in pool.serving)):
+            moved = cluster._salvage_doomed(pool.serving, pool.active, handles,
+                                            now, self.rerouted_ids)
             if moved:
                 self.rerouted += moved
                 # Queues changed out from under armed timers and idle
                 # replicas; re-consult everything that holds or awaited work.
                 for entry in pool.serving:
                     if entry.state.queue or entry._wake_event is not None:
-                        self.wake(entry)
+                        wake(entry)
 
         # Expiry pre-scan: the seed loop ran ``expire`` on every idle queued
         # replica at every visited timestamp, not only the changed ones.
@@ -949,15 +821,15 @@ class _ClusterRun(SimPlatform):
                     before = len(state.queue)
                     entry.platform.expire(state, now)
                     if len(state.queue) != before:
-                        self.wake(entry)
+                        wake(entry)
 
-        next_arrival_ms = (arrivals[self.next_arrival]
-                           if self.next_arrival < num_requests else np.inf)
+        next_arrival_ms = (self.arrival_times[self.next_arrival]
+                           if self.next_arrival < self.num_items else np.inf)
         events = self.events
         progressed = False
 
         # Phase 4 per dirty replica: select, serve (when idle).
-        for entry in self.drain_dirty():
+        for entry in pool.drain_dirty():
             platform, state = entry.platform, entry.state
             if not state.idle_at(now):
                 continue  # its completion event is already scheduled
@@ -991,7 +863,7 @@ class _ClusterRun(SimPlatform):
             if state.busy_until_ms > now + 1e-9:
                 events.push(state.busy_until_ms, _COMPLETION, entry)
             else:
-                self.wake(entry)  # instant batch: re-serve this timestamp
+                wake(entry)  # instant batch: re-serve this timestamp
             progressed = True
 
         # Phase 5: drained replicas that have gone idle leave the fleet.

@@ -41,13 +41,13 @@ from __future__ import annotations
 import copy
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.faults import FaultSchedule, FaultSpec, coerce_faults
-from repro.generative.decoding import (KVCacheAccountant, PrefillModel,
-                                       kv_bytes_per_token)
+from repro.generative.decoding import PrefillModel
 from repro.generative.sequences import SequenceSample
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
@@ -55,14 +55,14 @@ from repro.serving.cluster import LoadBalancer, build_balancer
 from repro.serving.fleet import ACTIVE, BaseFleet, ReplicaProfile
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeFleetState,
-                                              PolicyFactory, _arm_slots,
-                                              _run_eviction,
-                                              _schedule_eviction)
+                                              PolicyFactory, _enqueue_sequence,
+                                              _claim_decode_slots,
+                                              _decode_pool_fields, _kv_accountant,
+                                              _on_decode_event)
 from repro.serving.hf_pipelines import ContinuousBatchingEngine
-from repro.serving.kernel import (PoolState, SimPlatform, pool_is_static,
-                                  scale_pool)
+from repro.serving.kernel import RUNNER_KINDS, PoolRuntime, SimPlatform
 from repro.tenancy import (TenancyConfig, TenantRuntime, build_sequence_runtime,
-                           coerce_tenancy, sequence_rollups, tenant_backlog)
+                           coerce_tenancy, sequence_rollups)
 
 __all__ = ["PrefillReplicaHandle", "PrefillReplicaEntry", "PrefillFleetState",
            "DisaggregatedMetrics", "DisaggregatedPlatform"]
@@ -179,8 +179,17 @@ class PrefillReplicaEntry:
     prefilled: int = 0
     prefilled_tokens: int = 0
     last_completion_ms: float = -np.inf
-    #: kernel-scheduler bookkeeping: dirty flag for the prefill dirty list.
+    #: span hooks (the shared no-op recorder unless the run installs one)
+    #: and the pool tag stamped onto this replica's spans.
+    obs: object = field(default=NULL_RECORDER, repr=False, compare=False)
+    obs_pool: str = field(default="prefill", repr=False, compare=False)
+    #: kernel-scheduler bookkeeping: dirty flag for the pool's dirty list.
     _kdirty: bool = field(default=False, repr=False, compare=False)
+
+    #: pool-runtime facts: a busy replica counts once; no decode KV cache.
+    BUSY_GAUGE: ClassVar[str] = "busy_replicas"
+    kv: ClassVar[None] = None
+    enqueue = _enqueue_sequence
 
     def __post_init__(self) -> None:
         if self.handle is None:
@@ -188,6 +197,9 @@ class PrefillReplicaEntry:
 
     def is_free(self, now_ms: float) -> bool:
         return not self.in_flight and self.busy_until_ms <= now_ms + 1e-9
+
+    def busy(self, now_ms: float) -> int:
+        return 0 if self.is_free(now_ms) else 1
 
     def is_idle(self, now_ms: float) -> bool:
         """No queued prompts and nothing on the accelerator (retirement)."""
@@ -209,7 +221,8 @@ class PrefillFleetState(BaseFleet):
                                     profile=profile,
                                     prefill_batch=prefill_batch,
                                     mean_prompt_tokens=mean_prompt_tokens,
-                                    added_ms=now_ms)
+                                    added_ms=now_ms, obs=self.obs,
+                                    obs_pool=self.obs_pool)
         return self._register(entry, now_ms)
 
 
@@ -434,23 +447,6 @@ class DisaggregatedPlatform:
         """Size of the initial decode pool."""
         return len(self.decode_engines)
 
-    def _kv_for(self, engine: ContinuousBatchingEngine,
-                profile: ReplicaProfile) -> Optional[KVCacheAccountant]:
-        """Fresh accountant for one decode replica (``None`` = cache off).
-        Recompute is a re-prefill, so it is priced at the platform's
-        chunked-prefill rate scaled by the replica's speed."""
-        capacity = profile.kv_capacity_bytes
-        if capacity is None:
-            capacity = self.kv_capacity
-        if capacity is None:
-            return None
-        prefill = self.prefill_model
-        recompute = prefill.chunk_time_ms() / prefill.tokens_per_chunk \
-            / profile.speed
-        return KVCacheAccountant(capacity,
-                                 kv_bytes_per_token(engine.timing.spec),
-                                 recompute_ms_per_token=recompute)
-
     # --------------------------------------------------------------- main loop
     def run(self, workload, policy_factory: PolicyFactory) -> DisaggregatedMetrics:
         """Serve every sequence through prefill → handoff → decode.
@@ -487,7 +483,8 @@ class DisaggregatedPlatform:
         for engine, profile in zip(self.decode_engines, self.decode_profiles):
             decode_fleet.add(engine, policy_factory(decode_fleet.next_ordinal()),
                              profile, mean_tokens, start,
-                             kv=self._kv_for(engine, profile))
+                             kv=_kv_accountant(engine, profile, self.kv_capacity,
+                                              self.prefill_model))
 
         if num_sequences == 0:
             return self._collect(prefill_fleet, decode_fleet, {}, {}, start, start)
@@ -503,35 +500,44 @@ class DisaggregatedPlatform:
         metrics = self._collect(prefill_fleet, decode_fleet,
                                 runner.prefill_delays, runner.transfer_delays,
                                 start, end)
-        metrics.crashes = runner.crashes
-        metrics.recoveries = runner.recoveries
-        metrics.requeued = runner.requeued
-        metrics.kernel_stats = self.last_kernel_stats
+        runner.record_run(metrics)
         if tenant_runtime is not None:
             metrics.tenant_rollups = sequence_rollups(metrics.aggregate(),
                                                       tenant_runtime)
         return metrics
 
-    # ----------------------------------------------------------- scale-out add
+    # ------------------------------------------------------- replica factories
     def _add_prefill(self, fleet: PrefillFleetState, policy_factory,
-                     mean_tokens: float, mean_prompt: float,
-                     now_ms: float) -> PrefillReplicaEntry:
-        # Scaled-out replicas cycle the configured profile band so an
-        # elastic heterogeneous pool keeps its configured speed mix instead
-        # of silently booting base-speed hardware.
+                     mean_tokens: float, mean_prompt: float, now_ms: float,
+                     crashed: Optional[PrefillReplicaEntry] = None
+                     ) -> PrefillReplicaEntry:
+        """Bring one prefill replica online (scale-out, or the rebuild of a
+        ``crashed`` entry's profile).  Scaled-out replicas cycle the
+        configured profile band so an elastic heterogeneous pool keeps its
+        configured speed mix instead of silently booting base-speed
+        hardware."""
         profiles = self.prefill_profiles
-        profile = profiles[fleet.next_ordinal() % len(profiles)]
+        profile = profiles[fleet.next_ordinal() % len(profiles)] \
+            if crashed is None else crashed.profile
         return fleet.add(self.prefill_model, profile, self.prefill_batch,
                          mean_prompt, now_ms)
 
     def _add_decode(self, fleet: GenerativeFleetState, policy_factory,
-                    mean_tokens: float, mean_prompt: float, now_ms: float):
-        profiles = self.decode_profiles
-        profile = profiles[fleet.next_ordinal() % len(profiles)]
-        return fleet.add(self.decode_engines[0],
-                         policy_factory(fleet.next_ordinal()), profile,
+                    mean_tokens: float, mean_prompt: float, now_ms: float,
+                    crashed=None):
+        """Bring one decode replica online (scale-out cycling the profile
+        band, or the rebuild of a ``crashed`` entry's engine and profile
+        with a fresh, empty KV cache)."""
+        if crashed is None:
+            profiles = self.decode_profiles
+            engine = self.decode_engines[0]
+            profile = profiles[fleet.next_ordinal() % len(profiles)]
+        else:
+            engine, profile = crashed.engine, crashed.profile
+        return fleet.add(engine, policy_factory(fleet.next_ordinal()), profile,
                          mean_tokens, now_ms,
-                         kv=self._kv_for(self.decode_engines[0], profile))
+                         kv=_kv_accountant(engine, profile, self.kv_capacity,
+                                          self.prefill_model))
 
     # ------------------------------------------------------------------ collect
     def _collect(self, prefill_fleet: PrefillFleetState,
@@ -543,30 +549,8 @@ class DisaggregatedPlatform:
             (e.last_completion_ms for e in prefill_fleet.entries
              if np.isfinite(e.last_completion_ms)), default=start_ms))
         prefill_fleet.finalize(prefill_end)
-        decode_fleet.finalize(end_ms)
-        for entry in decode_fleet.entries:
-            if entry.metrics.tokens:
-                entry.metrics.makespan_ms = max(
-                    entry.last_completion_ms - start_ms, 1e-9)
-            if entry.kv is not None:
-                m = entry.metrics
-                m.kv_enabled = True
-                m.kv_hit_tokens = entry.kv.hit_tokens
-                m.kv_miss_tokens = entry.kv.miss_tokens
-                m.kv_evictions = entry.kv.evictions
-                m.kv_evicted_tokens = entry.kv.evicted_tokens
-                m.kv_recompute_tokens = entry.kv.recompute_tokens
-        decoded_anything = any(e.metrics.tokens for e in decode_fleet.entries)
-        makespan = max(end_ms - start_ms, 1e-9) if decoded_anything else 0.0
         return DisaggregatedMetrics(
-            replicas=[e.metrics for e in decode_fleet.entries],
-            dispatch_counts=[e.dispatched for e in decode_fleet.entries],
-            makespan_ms=makespan,
-            fleet_timeline=list(decode_fleet.timeline),
-            replica_seconds=decode_fleet.replica_seconds(end_ms),
-            replica_active_ms=decode_fleet.active_replica_ms(end_ms),
-            replica_uptimes_ms=[e.active_ms(end_ms)
-                                for e in decode_fleet.entries],
+            **_decode_pool_fields(decode_fleet, start_ms, end_ms),
             prefill_dispatch_counts=[e.dispatched
                                      for e in prefill_fleet.entries],
             prefill_counts=[e.prefilled for e in prefill_fleet.entries],
@@ -583,23 +567,24 @@ class DisaggregatedPlatform:
 
 
 # --------------------------------------------------------------------- kernel
-#: Event kinds for the disaggregated runner (two pools share one heap).
-#: Crash/recover pairs exist per pool — a fault names its target pool.
-(_PBOOT, _DBOOT, _PREFILL, _DSLOT,
- _PCRASH, _PRECOVER, _DCRASH, _DRECOVER, _DEVICT) = range(9)
+#: runner event kind of the prefill pool: a chunk-batch finished.  The
+#: decode pool's kinds are the generative cluster's.
+_PREFILL_DONE = RUNNER_KINDS + 2
 
 
 class _DisaggRun(SimPlatform):
     """Kernel-scheduled port of the disaggregated pass/advance loop.
 
-    Same phase order per pass as the monolithic runners, duplicated per
-    pool: admit arrivals into prefill, scale the prefill pool, progress
-    prefill chunk-batches (completions feed the handoff heap), dispatch due
+    Same phase order per pass as the monolithic runners, once per pool:
+    admit arrivals into prefill, scale the prefill pool, progress prefill
+    chunk-batches (completions feed the handoff heap), dispatch due
     handoffs into decode, scale the decode pool, run the decode slot loop,
-    retire idle drained replicas in both pools.  Each pool keeps its own
-    dirty list so a pass touches only the replicas whose state changed;
-    prefill completions and decode slot frees live on the shared heap, the
-    arrival cursor and the handoff head are the external candidates.
+    retire idle drained replicas in both pools.  Each pool is a
+    :class:`PoolRuntime` with its own dirty list, so a pass touches only
+    the replicas whose state changed; prefill completions and decode slot
+    frees live on the shared heap, the arrival cursor and the handoff head
+    are the external candidates.  Prefill batches and the handoff heap are
+    this runner's own.
     """
 
     def __init__(self, platform: DisaggregatedPlatform,
@@ -609,94 +594,40 @@ class _DisaggRun(SimPlatform):
                  mean_prompt: float, start_ms: float,
                  tenant_runtime: Optional[TenantRuntime] = None,
                  faults: Optional[FaultSchedule] = None) -> None:
-        super().__init__(start_ms)
+        super().__init__(start_ms, pending)
         self.install_obs(platform.obs, start_ms)
-        self.platform = platform
-        self.pending = pending
-        self.arrival_times = [s.arrival_ms for s in pending]
-        self.num_sequences = len(pending)
-        self.next_arrival = 0
-        self.policy_factory = policy_factory
-        self.mean_tokens = mean_tokens
-        self.mean_prompt = mean_prompt
-        self.ppool = PoolState(prefill_fleet, obs_name="prefill")
-        self.dpool = PoolState(decode_fleet, obs_name="decode")
-        #: fixed-size pools in band: the per-pass autoscaler consults are
-        #: proven no-ops, so the hot loop skips them entirely.
-        self._pautoscaled = not pool_is_static(platform.prefill_autoscaler,
-                                               self.ppool, platform.prefill_min,
-                                               platform.prefill_max)
-        self._dautoscaled = not pool_is_static(platform.decode_autoscaler,
-                                               self.dpool, platform.decode_min,
-                                               platform.decode_max)
-        self._pdirty: List[Any] = []
+        self.ttft_slo_ms = platform.ttft_slo_ms
+        self.ppool = PoolRuntime(
+            self, prefill_fleet, platform.prefill_balancer,
+            platform.prefill_autoscaler, platform.prefill_min,
+            platform.prefill_max,
+            partial(platform._add_prefill, prefill_fleet, policy_factory,
+                    mean_tokens, mean_prompt),
+            tenants=tenant_runtime)
+        self.dpool = PoolRuntime(
+            self, decode_fleet, platform.decode_balancer,
+            platform.decode_autoscaler, platform.decode_min,
+            platform.decode_max,
+            partial(platform._add_decode, decode_fleet, policy_factory,
+                    mean_tokens, mean_prompt),
+            tenants=tenant_runtime)
         #: (ready_ms, sequence_id, sample) — KV transfer complete, decodeable.
         self.handoff: List[Tuple[float, int, SequenceSample]] = []
         self.prefill_delays: Dict[int, float] = {}
         self.transfer_delays: Dict[int, float] = {}
-        self.tenant_runtime = tenant_runtime
-        #: fault injection counters + crashed hardware awaiting recovery,
-        #: kept per pool (a prefill replica is rebuilt from its profile; a
-        #: decode replica keeps its engine).
-        self.crashes = 0
-        self.recoveries = 0
-        self.requeued = 0
-        self._pcrash_stock: List[ReplicaProfile] = []
-        self._dcrash_stock: List[Tuple[ContinuousBatchingEngine,
-                                       ReplicaProfile]] = []
-        if faults is not None:
-            for fault in faults:
-                # A crash scheduled before the first arrival fires with it.
-                kind = _PCRASH if fault.pool == "prefill" else _DCRASH
-                self.events.push(max(fault.crash_ms, start_ms), kind, fault)
+        self.schedule_faults(faults, start_ms)
 
     # ------------------------------------------------------------------ gauges
     def sample_gauges(self, now_ms: float) -> None:
-        obs = self.obs
-        pdepth = 0
-        pbusy = 0
-        for entry in self.ppool.serving:
-            pdepth += len(entry.queue)
-            if not entry.is_free(now_ms):
-                pbusy += 1
-        obs.gauge(now_ms, "queue_depth", pdepth, pool="prefill")
-        obs.gauge(now_ms, "busy_replicas", pbusy, pool="prefill")
-        obs.gauge(now_ms, "active_replicas", len(self.ppool.active),
-                  pool="prefill")
-        ddepth = 0
-        dbusy = 0
-        kv_bytes = 0.0
-        kv_any = False
-        for entry in self.dpool.serving:
-            ddepth += len(entry.queue)
-            dbusy += entry.busy_slots(now_ms)
-            if entry.kv is not None:
-                kv_any = True
-                kv_bytes += entry.kv.used_bytes()
-        obs.gauge(now_ms, "queue_depth", ddepth, pool="decode")
-        obs.gauge(now_ms, "busy_slots", dbusy, pool="decode")
-        obs.gauge(now_ms, "active_replicas", len(self.dpool.active),
-                  pool="decode")
-        if kv_any:
-            obs.gauge(now_ms, "kv_used_bytes", kv_bytes, pool="decode")
-        obs.gauge(now_ms, "handoff_pending", len(self.handoff), pool="decode")
-        runtime = self.tenant_runtime
-        if runtime is not None:
-            backlog = tenant_backlog(
-                (sample.sequence_id for pool in (self.ppool, self.dpool)
-                 for entry in pool.serving for sample in entry.queue),
-                runtime.tenant_of)
-            for tenant, count in backlog.items():
-                obs.gauge(now_ms, "tenant_backlog", count, tenant=tenant)
+        self.ppool.sample_gauges(now_ms)
+        self.dpool.sample_gauges(now_ms)
+        self.obs.gauge(now_ms, "handoff_pending", len(self.handoff),
+                       pool="decode")
+        self.sample_tenant_backlog(now_ms, self.pools)
 
-    # --------------------------------------------------------------- plumbing
-    def _wake_prefill(self, entry: PrefillReplicaEntry) -> None:
-        if not entry._kdirty:
-            entry._kdirty = True
-            self._pdirty.append(entry)
-
+    # --------------------------------------------------------- kernel contract
     def done(self, now_ms: float) -> bool:
-        if self.next_arrival < self.num_sequences or self.handoff:
+        if self.next_arrival < self.num_items or self.handoff:
             return False
         for entry in self.ppool.serving:
             if entry.queue or entry.in_flight:
@@ -707,203 +638,28 @@ class _DisaggRun(SimPlatform):
         return True
 
     def next_external_ms(self, now_ms: float) -> Optional[float]:
-        candidate: Optional[float] = None
-        if self.next_arrival < self.num_sequences:
-            candidate = self.arrival_times[self.next_arrival]
+        candidate = super().next_external_ms(now_ms)
         if self.handoff and (candidate is None or self.handoff[0][0] < candidate):
             candidate = self.handoff[0][0]
         return candidate
 
     def on_event(self, event) -> None:
-        kind = event.kind
-        if kind == _PREFILL:
-            self._wake_prefill(event.payload)
-        elif kind == _DSLOT:
-            self.wake(event.payload)
-        elif kind == _DEVICT:
-            _run_eviction(self, event.payload, self.clock.now_ms, _DSLOT)
-        elif kind == _PCRASH:
-            self._crash_prefill(event.payload, self.clock.now_ms)
-        elif kind == _DCRASH:
-            self._crash_decode(event.payload, self.clock.now_ms)
-        elif kind == _PRECOVER:
-            self._recover_prefill(self.clock.now_ms)
-        elif kind == _DRECOVER:
-            self._recover_decode(self.clock.now_ms)
-        elif kind == _PBOOT:
-            pool = event.payload
-            pool.boots.remove(event)
-            entry = self.platform._add_prefill(
-                pool.fleet, self.policy_factory, self.mean_tokens,
-                self.mean_prompt, self.clock.now_ms)
-            pool.add(entry)
-        else:  # _DBOOT
-            pool = event.payload
-            pool.boots.remove(event)
-            entry = self.platform._add_decode(
-                pool.fleet, self.policy_factory, self.mean_tokens,
-                self.mean_prompt, self.clock.now_ms)
-            pool.add(entry)
-
-    # ------------------------------------------------------------------ faults
-    def _crash_prefill(self, fault: FaultSpec, now: float) -> None:
-        """Force-retire one prefill replica; requeue its queued prompts.
-
-        The in-flight chunk-batch is salvaged — its completion event still
-        fires and pushes the sequences into the handoff heap — and queued
-        prompts requeue to survivors through the prefill balancer (rank
-        order preserved under tenancy).  The last active prefill replica
-        never crashes, so every sequence still reaches decode.
-        """
-        pool = self.ppool
-        if len(pool.active) < 2:
-            return
-        victim = min(pool.active, key=lambda e: e.replica_id)
-        pool.fleet.drain(victim, now)
-        pool.draining += 1
-        pool.refresh_active()
-        orphans = victim.queue
-        victim.queue = []
-        self.crashes += 1
-        self._pcrash_stock.append(victim.profile)
-        self.events.push(now + fault.down_ms, _PRECOVER, fault)
-        self._wake_prefill(victim)  # retire once its in-flight batch drains
-        if orphans:
-            balancer = self.platform.prefill_balancer
-            handles = pool.handles
-            active = pool.active
-            runtime = self.tenant_runtime
-            obs = self.obs
-            for sample in orphans:
-                index = int(balancer.choose(sample, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose "
-                                     f"prefill replica {index} of "
-                                     f"{len(active)}")
-                entry = active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                if obs.enabled:
-                    obs.annotate(sample.sequence_id, requeued=True)
-                self._wake_prefill(entry)
-            self.requeued += len(orphans)
-
-    def _crash_decode(self, fault: FaultSpec, now: float) -> None:
-        """Force-retire one decode replica; requeue its queued sequences.
-
-        In-flight streams are salvaged (their tokens were recorded at slot
-        claim), queued sequences requeue to survivors through the decode
-        balancer, and the crashed hardware boots back ``down_ms`` later.
-        """
-        pool = self.dpool
-        if len(pool.active) < 2:
-            return
-        victim = min(pool.active, key=lambda e: e.replica_id)
-        pool.fleet.drain(victim, now)
-        pool.draining += 1
-        pool.refresh_active()
-        orphans = victim.queue
-        victim.queue = []
-        self.crashes += 1
-        self._dcrash_stock.append((victim.engine, victim.profile))
-        self.events.push(now + fault.down_ms, _DRECOVER, fault)
-        self.wake(victim)  # retire once its salvaged streams finish
-        if orphans:
-            balancer = self.platform.decode_balancer
-            handles = pool.handles
-            active = pool.active
-            runtime = self.tenant_runtime
-            obs = self.obs
-            for sample in orphans:
-                index = int(balancer.choose(sample, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose "
-                                     f"decode replica {index} of "
-                                     f"{len(active)}")
-                entry = active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                if obs.enabled:
-                    obs.annotate(sample.sequence_id, requeued=True)
-                self.wake(entry)
-            self.requeued += len(orphans)
-
-    def _recover_prefill(self, now: float) -> None:
-        """Boot a replacement for the oldest unrecovered prefill crash."""
-        platform = self.platform
-        profile = self._pcrash_stock.pop(0)
-        entry = self.ppool.fleet.add(platform.prefill_model, profile,
-                                     platform.prefill_batch, self.mean_prompt,
-                                     now)
-        self.ppool.add(entry)
-        self.recoveries += 1
-
-    def _recover_decode(self, now: float) -> None:
-        """Boot a replacement for the oldest unrecovered decode crash.
-
-        The replacement starts with a fresh (empty) KV accountant — a crash
-        loses the cache along with the queued work."""
-        engine, profile = self._dcrash_stock.pop(0)
-        fleet = self.dpool.fleet
-        entry = fleet.add(engine, self.policy_factory(fleet.next_ordinal()),
-                          profile, self.mean_tokens, now,
-                          kv=self.platform._kv_for(engine, profile))
-        self.dpool.add(entry)
-        self.recoveries += 1
+        if event.kind == _PREFILL_DONE:
+            self.ppool.wake(event.payload)
+        elif not _on_decode_event(self.dpool, event, self.clock.now_ms):
+            super().on_event(event)
 
     # ------------------------------------------------------------------- pass
     def step(self, now: float) -> bool:
-        platform = self.platform
         ppool = self.ppool
         dpool = self.dpool
 
         # Phase 1: admit arrivals into the prefill pool.
-        admitted = 0
-        next_arrival = self.next_arrival
-        arrivals = self.arrival_times
-        num_sequences = self.num_sequences
-        if next_arrival < num_sequences and arrivals[next_arrival] <= now + 1e-9:
-            pending = self.pending
-            balancer = platform.prefill_balancer
-            prefill_active = ppool.active
-            prefill_handles = ppool.handles
-            runtime = self.tenant_runtime
-            obs = self.obs
-            while (next_arrival < num_sequences
-                   and arrivals[next_arrival] <= now + 1e-9):
-                sample = pending[next_arrival]
-                index = int(balancer.choose(sample, prefill_handles, now))
-                if not 0 <= index < len(prefill_active):
-                    raise ValueError(f"balancer {balancer.name!r} "
-                                     f"chose prefill replica {index} of "
-                                     f"{len(prefill_active)}")
-                entry = prefill_active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                if obs.enabled:
-                    obs.admit(sample.sequence_id, sample.arrival_ms,
-                              kind="sequence", pool="prefill",
-                              replica=entry.replica_id)
-                    if runtime is not None:
-                        obs.annotate(sample.sequence_id,
-                                     tenant=runtime.tenant_of.get(
-                                         sample.sequence_id))
-                entry.dispatched += 1
-                next_arrival += 1
-                admitted += 1
-                self._wake_prefill(entry)
-            self.next_arrival = next_arrival
-        if admitted:
-            platform.prefill_autoscaler.observe_admitted(admitted, now)
+        self.admit_arrivals(ppool, now)
 
         # Phase 2: the prefill pool's own autoscaler (queued prompt chunks
         # drive its load signal).
-        if self._pautoscaled:
-            scale_pool(self, ppool, platform.prefill_autoscaler, now,
-                       platform.prefill_min, platform.prefill_max, _PBOOT)
+        ppool.scale(now)
 
         # Phase 3: prefill progress — finish due chunk-batches (pushing
         # their sequences into the handoff queue with the KV-transfer
@@ -913,7 +669,7 @@ class _DisaggRun(SimPlatform):
         prefill_delays = self.prefill_delays
         transfer_delays = self.transfer_delays
         obs = self.obs
-        for entry in self.drain_dirty(self._pdirty):
+        for entry in ppool.drain_dirty():
             if entry.in_flight and entry.busy_until_ms <= now + 1e-9:
                 done = entry.busy_until_ms
                 for sample in entry.in_flight:
@@ -954,44 +710,26 @@ class _DisaggRun(SimPlatform):
                         obs.phase(sample.sequence_id, "prefill", now,
                                   batch_end, pool="prefill", replica=replica)
                 if entry.busy_until_ms > now + 1e-9:
-                    self.events.push(entry.busy_until_ms, _PREFILL, entry)
+                    self.events.push(entry.busy_until_ms, _PREFILL_DONE, entry)
                 else:
                     # Degenerate zero-cost chunk: complete it in the next
                     # pass at this same timestamp instead of scheduling.
-                    self._wake_prefill(entry)
+                    ppool.wake(entry)
                 progressed = True
 
         # Phase 4: handoff — transferred sequences dispatch to the decode
         # pool through its own balancer.
         moved = 0
-        if handoff and handoff[0][0] <= now + 1e-9:
-            balancer = platform.decode_balancer
-            decode_active = dpool.active
-            decode_handles = dpool.handles
-            runtime = self.tenant_runtime
-            while handoff and handoff[0][0] <= now + 1e-9:
-                _, _, sample = heapq.heappop(handoff)
-                index = int(balancer.choose(sample, decode_handles, now))
-                if not 0 <= index < len(decode_active):
-                    raise ValueError(f"balancer {balancer.name!r} "
-                                     f"chose decode replica {index} of "
-                                     f"{len(decode_active)}")
-                entry = decode_active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                entry.dispatched += 1
-                moved += 1
-                self.wake(entry)
+        while handoff and handoff[0][0] <= now + 1e-9:
+            dpool.route(heapq.heappop(handoff)[2], now)
+            moved += 1
         if moved:
-            platform.decode_autoscaler.observe_admitted(moved, now)
+            dpool.autoscaler.observe_admitted(moved, now)
             progressed = True
 
         # Phase 5: the decode pool's own autoscaler (outstanding decode
         # work drives its load signal, as in the monolithic cluster).
-        if self._dautoscaled:
-            scale_pool(self, dpool, platform.decode_autoscaler, now,
-                       platform.decode_min, platform.decode_max, _DBOOT)
+        dpool.scale(now)
 
         # Phase 6: free decode slots claim queue heads and run the slot
         # loop shared with the monolithic cluster (the decode engines
@@ -999,13 +737,8 @@ class _DisaggRun(SimPlatform):
         # and doomed sequences are shed against the TTFT SLO).  The
         # recorded queueing delay spans arrival → first decode step, so
         # the aggregate TTFT includes prefill + transfer + both waits.
-        ttft = platform.ttft_slo_ms
-        runtime = self.tenant_runtime
-        for entry in self.drain_dirty():
-            if entry.claim_streams(now, ttft, runtime):
-                progressed = True
-            _arm_slots(self, entry, now, _DSLOT)
-            _schedule_eviction(self, entry, now, _DEVICT)
+        if _claim_decode_slots(dpool, now, self.ttft_slo_ms):
+            progressed = True
 
         # Phase 7: drained replicas that have gone idle leave their pool.
         ppool.retire_idle(now)

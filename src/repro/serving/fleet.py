@@ -36,9 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import ClassVar, List, Optional, Tuple, Union
 
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.platform import BatchExecutorFn, ReplicaState, ServingPlatform
@@ -88,10 +86,10 @@ class ReplicaProfile:
         if isinstance(value, (int, float)):
             return cls(speed=float(value))
         text = str(value).strip()
-        speed_text, _, cost_text = text.partition(":")
+        speed_text, colon, cost_text = text.partition(":")
         try:
             speed = float(speed_text)
-            cost = float(cost_text) if cost_text else 1.0
+            cost = float(cost_text) if colon else 1.0
         except ValueError as exc:
             raise ValueError(f"invalid replica profile {value!r}; expected "
                              "'speed' or 'speed:cost' (e.g. '2.0' or '2.0:1.5')") from exc
@@ -100,10 +98,13 @@ class ReplicaProfile:
     @classmethod
     def parse_list(cls, text: str) -> Tuple["ReplicaProfile", ...]:
         """Parse a CLI-style comma-separated profile list, e.g. ``"2,2,0.5:0.6"``."""
-        items = [item.strip() for item in str(text).split(",") if item.strip()]
-        if not items:
+        if not str(text).strip():
             raise ValueError(f"replica profiles must name at least one replica, "
                              f"got {text!r}")
+        items = [item.strip() for item in str(text).split(",")]
+        if "" in items:
+            raise ValueError(f"empty replica profile at position "
+                             f"{items.index('')} of {text!r}")
         return tuple(cls.coerce(item) for item in items)
 
     def describe(self) -> dict:
@@ -217,6 +218,10 @@ class ReplicaEntry:
     _kdirty: bool = field(default=False, repr=False, compare=False)
     _wake_event: Optional[object] = field(default=None, repr=False, compare=False)
 
+    #: pool-runtime facts: gauge name of :meth:`busy`, and no KV cache.
+    BUSY_GAUGE: ClassVar[str] = "busy_replicas"
+    kv: ClassVar[None] = None
+
     def active_ms(self, end_ms: float) -> float:
         """Wall-clock time this replica was provisioned (added → retired)."""
         until = self.retired_ms if self.retired_ms is not None else end_ms
@@ -225,6 +230,22 @@ class ReplicaEntry:
     def is_idle(self, now_ms: float) -> bool:
         """No queued work and the accelerator is free (retirement condition)."""
         return not self.state.queue and self.state.idle_at(now_ms)
+
+    @property
+    def queue(self) -> List:
+        return self.state.queue
+
+    @queue.setter
+    def queue(self, requests: List) -> None:
+        self.state.queue = requests
+
+    def enqueue(self, request, tenants=None) -> None:
+        """Join this replica's queue (tenant rank order rides on
+        ``Request.rank``, so ``tenants`` is not needed here)."""
+        self.platform.admit(self.state, request)
+
+    def busy(self, now_ms: float) -> int:
+        return 0 if self.state.idle_at(now_ms) else 1
 
 
 class BaseFleet:

@@ -38,7 +38,9 @@ cost-weighted replica-seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import (Any, Callable, ClassVar, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -48,16 +50,15 @@ from repro.generative.decoding import (KVCacheAccountant, PrefillModel,
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
 from repro.serving.cluster import LoadBalancer, build_balancer
-from repro.serving.fleet import (ACTIVE, DRAINING, RETIRED, BaseFleet,
-                                 ReplicaProfile)
+from repro.serving.fleet import ACTIVE, BaseFleet, ReplicaProfile
 from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
                                         GenerativeMetrics, TokenExitPolicy,
                                         VanillaTokenPolicy)
-from repro.serving.kernel import (PoolState, SimPlatform, pool_is_static,
-                                  scale_pool)
+from repro.serving.kernel import (RUNNER_KINDS, EventQueue, PoolRuntime,
+                                  SimPlatform)
 from repro.serving.metrics import dispatch_imbalance_ratio
 from repro.tenancy import (TenancyConfig, TenantRuntime, build_sequence_runtime,
-                           coerce_tenancy, sequence_rollups, tenant_backlog)
+                           coerce_tenancy, sequence_rollups)
 
 #: shared stateless policy used to pin a tenant's sequences to the full model
 #: (exit-policy override ``allow_exits=False``).
@@ -72,6 +73,21 @@ __all__ = ["GenerativeReplicaHandle", "GenerativeReplicaEntry",
 #: returning a shared object gives fleet-wide ("shared") EE control, fresh
 #: objects give per-replica ("independent") control.
 PolicyFactory = Callable[[int], TokenExitPolicy]
+
+
+def _enqueue_sequence(entry, sample, tenants: Optional[TenantRuntime] = None
+                      ) -> None:
+    """Join a sequence replica's queue in tenant rank order and open the
+    sequence's span there.  Opening is idempotent, so a requeued or
+    handed-off sequence keeps its original span.  Shared by the decode
+    and prefill entry classes as their ``enqueue``."""
+    entry.queue.append(sample)
+    if tenants is not None:
+        tenants.reposition(entry.queue)
+    obs = entry.obs
+    if obs.enabled:
+        obs.admit(sample.sequence_id, sample.arrival_ms, kind="sequence",
+                  pool=entry.obs_pool, replica=entry.replica_id)
 
 
 class _EngineView:
@@ -217,6 +233,10 @@ class GenerativeReplicaEntry:
                                           compare=False)
     _kv_evict_pending: bool = field(default=False, repr=False, compare=False)
 
+    #: pool-runtime facts: busy decode slots are counted, under this name.
+    BUSY_GAUGE: ClassVar[str] = "busy_slots"
+    enqueue = _enqueue_sequence
+
     def __post_init__(self) -> None:
         if not self.slots:
             self.slots = [-np.inf] * self.engine.max_batch_size
@@ -226,6 +246,8 @@ class GenerativeReplicaEntry:
     # ------------------------------------------------------------------ slots
     def busy_slots(self, now_ms: float) -> int:
         return sum(1 for t in self.slots if t > now_ms + 1e-9)
+
+    busy = busy_slots
 
     def free_slot_index(self, now_ms: float) -> Optional[int]:
         for index, t in enumerate(self.slots):
@@ -566,26 +588,21 @@ class GenerativeClusterPlatform:
         """Size of the initial fleet (the fleet ``run()`` starts from)."""
         return len(self.engines)
 
-    def _kv_for(self, engine: ContinuousBatchingEngine,
-                profile: ReplicaProfile) -> Optional[KVCacheAccountant]:
-        """Fresh accountant for one replica (``None`` when the cache model is
-        off).  Recompute is priced at the replica's chunked-prefill rate —
-        the engine's own prefill model when it has one, otherwise a default
-        :class:`PrefillModel` over the same timing spec (a monolith without
-        in-slot prefill still pays for re-prefilling evicted context)."""
-        capacity = profile.kv_capacity_bytes
-        if capacity is None:
-            capacity = self.kv_capacity
-        if capacity is None:
-            return None
-        prefill = engine.prefill
-        if prefill is None:
-            prefill = PrefillModel(engine.timing.spec)
-        recompute = prefill.chunk_time_ms() / prefill.tokens_per_chunk \
-            / profile.speed
-        return KVCacheAccountant(capacity,
-                                 kv_bytes_per_token(engine.timing.spec),
-                                 recompute_ms_per_token=recompute)
+    def _add_replica(self, fleet: GenerativeFleetState,
+                     policy_factory: PolicyFactory, mean_tokens: float,
+                     now_ms: float,
+                     crashed: Optional[GenerativeReplicaEntry] = None
+                     ) -> GenerativeReplicaEntry:
+        """Bring one decode replica online: scale-out hardware, or the
+        crashed entry's engine and profile with a fresh policy and an empty
+        KV cache (a crash loses the cache along with the queued work)."""
+        if crashed is None:
+            engine, profile = self.engines[0], self.scale_out_profile
+        else:
+            engine, profile = crashed.engine, crashed.profile
+        return fleet.add(engine, policy_factory(fleet.next_ordinal()), profile,
+                         mean_tokens, now_ms,
+                         kv=_kv_accountant(engine, profile, self.kv_capacity))
 
     # --------------------------------------------------------------- main loop
     def run(self, workload, policy_factory: PolicyFactory) -> GenerativeClusterMetrics:
@@ -612,7 +629,8 @@ class GenerativeClusterPlatform:
         fleet.obs = self.obs
         for engine, profile in zip(self.engines, self.profiles):
             fleet.add(engine, policy_factory(fleet.next_ordinal()), profile,
-                      mean_tokens, start, kv=self._kv_for(engine, profile))
+                      mean_tokens, start,
+                      kv=_kv_accountant(engine, profile, self.kv_capacity))
 
         if num_sequences == 0:
             return self._collect(fleet, start, start)
@@ -627,10 +645,7 @@ class GenerativeClusterPlatform:
         end = max((e.last_completion_ms for e in fleet.entries
                    if np.isfinite(e.last_completion_ms)), default=start)
         metrics = self._collect(fleet, start, end)
-        metrics.crashes = runner.crashes
-        metrics.recoveries = runner.recoveries
-        metrics.requeued = runner.requeued
-        metrics.kernel_stats = self.last_kernel_stats
+        runner.record_run(metrics)
         if tenant_runtime is not None:
             metrics.tenant_rollups = sequence_rollups(metrics.aggregate(),
                                                       tenant_runtime)
@@ -638,46 +653,83 @@ class GenerativeClusterPlatform:
 
     def _collect(self, fleet: GenerativeFleetState, start_ms: float,
                  end_ms: float) -> GenerativeClusterMetrics:
-        fleet.finalize(end_ms)
-        for entry in fleet.entries:
-            if entry.metrics.tokens:
-                entry.metrics.makespan_ms = max(
-                    entry.last_completion_ms - start_ms, 1e-9)
-            if entry.kv is not None:
-                metrics = entry.metrics
-                metrics.kv_enabled = True
-                metrics.kv_hit_tokens = entry.kv.hit_tokens
-                metrics.kv_miss_tokens = entry.kv.miss_tokens
-                metrics.kv_evictions = entry.kv.evictions
-                metrics.kv_evicted_tokens = entry.kv.evicted_tokens
-                metrics.kv_recompute_tokens = entry.kv.recompute_tokens
-        decoded_anything = any(entry.metrics.tokens for entry in fleet.entries)
-        makespan = max(end_ms - start_ms, 1e-9) if decoded_anything else 0.0
-        return GenerativeClusterMetrics(
-            replicas=[entry.metrics for entry in fleet.entries],
-            dispatch_counts=[entry.dispatched for entry in fleet.entries],
-            makespan_ms=makespan,
-            fleet_timeline=list(fleet.timeline),
-            replica_seconds=fleet.replica_seconds(end_ms),
-            replica_active_ms=fleet.active_replica_ms(end_ms),
-            replica_uptimes_ms=[entry.active_ms(end_ms)
-                                for entry in fleet.entries],
-        )
+        return GenerativeClusterMetrics(**_decode_pool_fields(fleet, start_ms,
+                                                             end_ms))
 
 
-#: event kinds of the kernel-scheduled generative cluster run.
-_BOOT, _SLOT_FREE, _CRASH, _RECOVER, _EVICT = 0, 1, 2, 3, 4
+def _kv_accountant(engine: ContinuousBatchingEngine, profile: ReplicaProfile,
+                  capacity: Optional[float], prefill: Optional[PrefillModel] = None
+                  ) -> Optional[KVCacheAccountant]:
+    """Fresh KV accountant for one decode replica (``None`` = cache off).
+
+    The profile's ``kv_capacity_bytes`` overrides the pool-wide
+    ``capacity``.  Recompute is a re-prefill, priced at ``prefill``'s
+    chunked rate scaled by the replica's speed; by default that is the
+    engine's own prefill model, otherwise a default :class:`PrefillModel`
+    over the same timing spec (a monolith without in-slot prefill still
+    pays for re-prefilling evicted context).
+    """
+    if profile.kv_capacity_bytes is not None:
+        capacity = profile.kv_capacity_bytes
+    if capacity is None:
+        return None
+    if prefill is None:
+        prefill = engine.prefill
+    if prefill is None:
+        prefill = PrefillModel(engine.timing.spec)
+    recompute = prefill.chunk_time_ms() / prefill.tokens_per_chunk \
+        / profile.speed
+    return KVCacheAccountant(capacity,
+                             kv_bytes_per_token(engine.timing.spec),
+                             recompute_ms_per_token=recompute)
 
 
-def _run_eviction(sim: SimPlatform, entry: GenerativeReplicaEntry,
-                  now_ms: float, slot_kind: int) -> None:
+def _decode_pool_fields(fleet: GenerativeFleetState, start_ms: float,
+                       end_ms: float) -> Dict[str, Any]:
+    """Close a decode fleet's books; return its
+    :class:`GenerativeClusterMetrics` fields.
+
+    Each replica's metrics get their makespan and, with a cache model, the
+    KV accountant's counters.
+    """
+    fleet.finalize(end_ms)
+    for entry in fleet.entries:
+        metrics = entry.metrics
+        if metrics.tokens:
+            metrics.makespan_ms = max(entry.last_completion_ms - start_ms, 1e-9)
+        kv = entry.kv
+        if kv is not None:
+            metrics.kv_enabled = True
+            metrics.kv_hit_tokens = kv.hit_tokens
+            metrics.kv_miss_tokens = kv.miss_tokens
+            metrics.kv_evictions = kv.evictions
+            metrics.kv_evicted_tokens = kv.evicted_tokens
+            metrics.kv_recompute_tokens = kv.recompute_tokens
+    decoded_anything = any(entry.metrics.tokens for entry in fleet.entries)
+    return dict(
+        replicas=[entry.metrics for entry in fleet.entries],
+        dispatch_counts=[entry.dispatched for entry in fleet.entries],
+        makespan_ms=max(end_ms - start_ms, 1e-9) if decoded_anything else 0.0,
+        fleet_timeline=list(fleet.timeline),
+        replica_seconds=fleet.replica_seconds(end_ms),
+        replica_active_ms=fleet.active_replica_ms(end_ms),
+        replica_uptimes_ms=[entry.active_ms(end_ms) for entry in fleet.entries],
+    )
+
+
+#: runner event kinds of a decode pool (the monolithic cluster's and the
+#: disaggregated decode pool's): a decode slot freed, a KV eviction is due.
+_SLOT_FREE, _EVICT = RUNNER_KINDS, RUNNER_KINDS + 1
+
+
+def _run_eviction(pool: PoolRuntime, entry: GenerativeReplicaEntry,
+                  now_ms: float) -> None:
     """Fire one replica's deferred KV-eviction event.
 
     Evicts LRU residents until occupancy fits; a still-running victim's
     recompute charge extends its decode-slot occupancy (the slot re-prefills
     the evicted context before the stream can finish), so the freed-slot
-    event is re-armed at the later time.  Shared by the monolithic cluster
-    and the disaggregated decode pool.
+    event is re-armed at the later time.
     """
     entry._kv_evict_pending = False
     kv = entry.kv
@@ -696,12 +748,12 @@ def _run_eviction(sim: SimPlatform, entry: GenerativeReplicaEntry,
                                            entry.slots[slot])
             if obs.enabled:
                 obs.annotate(seq_id, kv_recompute_ms=recompute_ms)
-    _arm_slots(sim, entry, now_ms, slot_kind)
-    sim.wake(entry)
+    _arm_slots(pool.sim.events, entry, now_ms)
+    pool.wake(entry)
 
 
-def _schedule_eviction(sim: SimPlatform, entry: GenerativeReplicaEntry,
-                       now_ms: float, evict_kind: int) -> None:
+def _schedule_eviction(events: EventQueue, entry: GenerativeReplicaEntry,
+                       now_ms: float) -> None:
     """Register a same-timestamp eviction event when occupancy overflowed.
 
     Deferred to an event (rather than evicting inline during the claim pass)
@@ -713,11 +765,11 @@ def _schedule_eviction(sim: SimPlatform, entry: GenerativeReplicaEntry,
     kv = entry.kv
     if kv is not None and not entry._kv_evict_pending and kv.needs_eviction():
         entry._kv_evict_pending = True
-        sim.events.push(now_ms, evict_kind, entry)
+        events.push(now_ms, _EVICT, entry)
 
 
-def _arm_slots(sim: SimPlatform, entry: GenerativeReplicaEntry,
-               now_ms: float, kind: int) -> None:
+def _arm_slots(events: EventQueue, entry: GenerativeReplicaEntry,
+               now_ms: float) -> None:
     """Register a slot-free event per occupied decode slot.
 
     ``_slot_armed`` remembers the completion time last armed per slot so an
@@ -730,7 +782,39 @@ def _arm_slots(sim: SimPlatform, entry: GenerativeReplicaEntry,
     for index, t in enumerate(entry.slots):
         if t > now_ms + 1e-9 and armed.get(index) != t:
             armed[index] = t
-            sim.events.push(t, kind, entry)
+            events.push(t, _SLOT_FREE, entry)
+
+
+def _claim_decode_slots(pool: PoolRuntime, now_ms: float,
+                       ttft_slo_ms: Optional[float]) -> bool:
+    """The decode phase of the monolithic cluster and the disaggregated
+    decode pool: free slots of each dirty replica claim queue heads and run
+    the stream decode (deadline shedding included).
+
+    A replica with queued work and a free slot is always dirty: claims
+    leave either an empty queue or no free slot, slots only free through
+    their slot event, and admissions wake their target.
+    """
+    events = pool.sim.events
+    tenants = pool.tenants
+    progressed = False
+    for entry in pool.drain_dirty():
+        if entry.claim_streams(now_ms, ttft_slo_ms, tenants):
+            progressed = True
+        _arm_slots(events, entry, now_ms)
+        _schedule_eviction(events, entry, now_ms)
+    return progressed
+
+
+def _on_decode_event(pool: PoolRuntime, event, now_ms: float) -> bool:
+    """Handle a decode pool's own event kinds; False for any other kind."""
+    if event.kind == _SLOT_FREE:
+        pool.wake(event.payload)
+    elif event.kind == _EVICT:
+        _run_eviction(pool, event.payload, now_ms)
+    else:
+        return False
+    return True
 
 
 class _GenerativeRun(SimPlatform):
@@ -740,6 +824,8 @@ class _GenerativeRun(SimPlatform):
     slot claims → retire); the slot-claim phase touches only the replicas
     whose queue changed or whose decode slot freed, and the clock advances
     through the event heap (slot completions, boots) plus the arrival cursor.
+    Routing, scaling, crashes and gauges run on the pool's
+    :class:`PoolRuntime`; slot claims and KV eviction are this runner's own.
     """
 
     def __init__(self, cluster: GenerativeClusterPlatform, pending: List,
@@ -747,218 +833,38 @@ class _GenerativeRun(SimPlatform):
                  mean_tokens: float, start_ms: float,
                  tenant_runtime: Optional[TenantRuntime] = None,
                  faults: Optional[FaultSchedule] = None) -> None:
-        super().__init__(start_ms)
+        super().__init__(start_ms, pending)
         self.install_obs(cluster.obs, start_ms)
-        self.cluster = cluster
-        self.pending = pending
-        self.arrival_times = [s.arrival_ms for s in pending]
-        self.num_sequences = len(pending)
-        self.next_arrival = 0
-        self.policy_factory = policy_factory
-        self.fleet = fleet
-        self.mean_tokens = mean_tokens
-        self.pool = PoolState(fleet)
-        self.tenant_runtime = tenant_runtime
-        #: fault injection counters + the crashed hardware awaiting recovery.
-        self.crashes = 0
-        self.recoveries = 0
-        self.requeued = 0
-        self._crash_stock: List[Tuple[ContinuousBatchingEngine, ReplicaProfile]] = []
-        if faults is not None:
-            for fault in faults:
-                # A crash scheduled before the first arrival fires with it.
-                self.events.push(max(fault.crash_ms, start_ms), _CRASH, fault)
-        #: fixed-size fleet in band: the per-pass autoscaler consult is a
-        #: proven no-op, so the hot loop skips it entirely.
-        self._autoscaled = not pool_is_static(cluster.autoscaler, self.pool,
-                                              cluster.min_replicas,
-                                              cluster.max_replicas)
-
-    # ------------------------------------------------------------------ gauges
-    def sample_gauges(self, now_ms: float) -> None:
-        obs = self.obs
-        pool = self.pool
-        depth = 0
-        busy = 0
-        kv_bytes = 0.0
-        kv_any = False
-        for entry in pool.serving:
-            depth += len(entry.queue)
-            busy += entry.busy_slots(now_ms)
-            if entry.kv is not None:
-                kv_any = True
-                kv_bytes += entry.kv.used_bytes()
-        pool_name = self.fleet.obs_pool
-        obs.gauge(now_ms, "queue_depth", depth, pool=pool_name)
-        obs.gauge(now_ms, "busy_slots", busy, pool=pool_name)
-        obs.gauge(now_ms, "active_replicas", len(pool.active), pool=pool_name)
-        if kv_any:
-            obs.gauge(now_ms, "kv_used_bytes", kv_bytes, pool=pool_name)
-        runtime = self.tenant_runtime
-        if runtime is not None:
-            backlog = tenant_backlog(
-                (sample.sequence_id for entry in pool.serving
-                 for sample in entry.queue), runtime.tenant_of)
-            for tenant, count in backlog.items():
-                obs.gauge(now_ms, "tenant_backlog", count, pool=pool_name,
-                          tenant=tenant)
+        self.ttft_slo_ms = cluster.ttft_slo_ms
+        self.pool = PoolRuntime(
+            self, fleet, cluster.balancer, cluster.autoscaler,
+            cluster.min_replicas, cluster.max_replicas,
+            partial(cluster._add_replica, fleet, policy_factory, mean_tokens),
+            tenants=tenant_runtime)
+        self.schedule_faults(faults, start_ms)
 
     # --------------------------------------------------------- kernel contract
     def done(self, now_ms: float) -> bool:
-        if self.next_arrival < self.num_sequences:
+        if self.next_arrival < self.num_items:
             return False
         for entry in self.pool.serving:
             if entry.queue or entry.busy_slots(now_ms):
                 return False
         return True
 
-    def next_external_ms(self, now_ms: float) -> Optional[float]:
-        if self.next_arrival < self.num_sequences:
-            return self.arrival_times[self.next_arrival]
-        return None
-
     def on_event(self, event) -> None:
-        kind = event.kind
-        if kind == _SLOT_FREE:
-            self.wake(event.payload)
-        elif kind == _EVICT:
-            _run_eviction(self, event.payload, self.clock.now_ms, _SLOT_FREE)
-        elif kind == _CRASH:
-            self._crash(event.payload, self.clock.now_ms)
-        elif kind == _RECOVER:
-            self._recover(self.clock.now_ms)
-        else:  # _BOOT: provisioning completed, bring the replica online.
-            pool = self.pool
-            pool.boots.remove(event)
-            cluster = self.cluster
-            entry = self.fleet.add(cluster.engines[0],
-                                   self.policy_factory(self.fleet.next_ordinal()),
-                                   cluster.scale_out_profile, self.mean_tokens,
-                                   self.clock.now_ms,
-                                   kv=cluster._kv_for(cluster.engines[0],
-                                                      cluster.scale_out_profile))
-            pool.add(entry)
-
-    # ------------------------------------------------------------------ faults
-    def _crash(self, fault: FaultSpec, now: float) -> None:
-        """Force-retire one decode replica; requeue queued sequences.
-
-        In-flight streams are salvaged (their tokens were recorded at slot
-        claim), queued sequences requeue to survivors through the balancer
-        (rank order preserved under tenancy), and the crashed hardware
-        boots back ``down_ms`` later.  The last active replica never
-        crashes, so conservation holds by construction.
-        """
-        pool = self.pool
-        if len(pool.active) < 2:
-            return
-        victim = min(pool.active, key=lambda e: e.replica_id)
-        self.fleet.drain(victim, now)
-        pool.draining += 1
-        pool.refresh_active()
-        orphans = victim.queue
-        victim.queue = []
-        self.crashes += 1
-        self._crash_stock.append((victim.engine, victim.profile))
-        self.events.push(now + fault.down_ms, _RECOVER, fault)
-        self.wake(victim)  # retire once its salvaged streams finish
-        if orphans:
-            balancer = self.cluster.balancer
-            handles = pool.handles
-            active = pool.active
-            runtime = self.tenant_runtime
-            obs = self.obs
-            for sample in orphans:
-                index = int(balancer.choose(sample, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose "
-                                     f"replica {index} of {len(active)}")
-                entry = active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                if obs.enabled:
-                    obs.annotate(sample.sequence_id, requeued=True)
-                self.wake(entry)
-            self.requeued += len(orphans)
-
-    def _recover(self, now: float) -> None:
-        """Boot a replacement for the oldest still-unrecovered crash.
-
-        The replacement starts with a fresh (empty) KV accountant — a crash
-        loses the cache along with the queued work."""
-        engine, profile = self._crash_stock.pop(0)
-        entry = self.fleet.add(engine,
-                               self.policy_factory(self.fleet.next_ordinal()),
-                               profile, self.mean_tokens, now,
-                               kv=self.cluster._kv_for(engine, profile))
-        self.pool.add(entry)
-        self.recoveries += 1
+        if not _on_decode_event(self.pool, event, self.clock.now_ms):
+            super().on_event(event)
 
     # ------------------------------------------------------------------- pass
     def step(self, now: float) -> bool:
-        cluster = self.cluster
         pool = self.pool
-        active = pool.active
-        handles = pool.handles
-        arrivals = self.arrival_times
-        num_sequences = self.num_sequences
-        next_arrival = self.next_arrival
-
         # Phase 1: admit + dispatch every sequence that has arrived by now.
-        admitted = 0
-        if next_arrival < num_sequences \
-                and arrivals[next_arrival] <= now + 1e-9:
-            pending = self.pending
-            balancer = cluster.balancer
-            runtime = self.tenant_runtime
-            obs = self.obs
-            while (next_arrival < num_sequences
-                   and arrivals[next_arrival] <= now + 1e-9):
-                sample = pending[next_arrival]
-                index = int(balancer.choose(sample, handles, now))
-                if not 0 <= index < len(active):
-                    raise ValueError(f"balancer {balancer.name!r} chose "
-                                     f"replica {index} of {len(active)}")
-                entry = active[index]
-                entry.queue.append(sample)
-                if runtime is not None:
-                    runtime.reposition(entry.queue)
-                if obs.enabled:
-                    obs.admit(sample.sequence_id, sample.arrival_ms,
-                              kind="sequence", pool=entry.obs_pool,
-                              replica=entry.replica_id)
-                    if runtime is not None:
-                        obs.annotate(sample.sequence_id,
-                                     tenant=runtime.tenant_of.get(
-                                         sample.sequence_id))
-                entry.dispatched += 1
-                next_arrival += 1
-                admitted += 1
-                self.wake(entry)
-            self.next_arrival = next_arrival
-        if admitted:
-            cluster.autoscaler.observe_admitted(admitted, now)
-
+        self.admit_arrivals(pool, now)
         # Phase 2: autoscaler decision on the global clock.
-        if self._autoscaled:
-            scale_pool(self, pool, cluster.autoscaler, now,
-                       cluster.min_replicas, cluster.max_replicas, _BOOT)
-
-        # Phase 3 per dirty replica: free decode slots claim the queue head
-        # and run the stream decode (deadline shedding included).  A replica
-        # with queued work and a free slot is always dirty: claims leave
-        # either an empty queue or no free slot, slots only free through
-        # their slot event, and admissions wake their target.
-        progressed = False
-        ttft = cluster.ttft_slo_ms
-        runtime = self.tenant_runtime
-        for entry in self.drain_dirty():
-            if entry.claim_streams(now, ttft, runtime):
-                progressed = True
-            _arm_slots(self, entry, now, _SLOT_FREE)
-            _schedule_eviction(self, entry, now, _EVICT)
-
+        pool.scale(now)
+        # Phase 3 per dirty replica: free decode slots claim queue heads.
+        progressed = _claim_decode_slots(pool, now, self.ttft_slo_ms)
         # Phase 4: drained replicas that have gone idle leave the fleet.
         pool.retire_idle(now)
         return progressed

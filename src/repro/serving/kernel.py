@@ -22,16 +22,18 @@ in the style of event-driven flow-level network simulators:
     The shared simulation clock.  Only :meth:`SimPlatform.drive` advances it.
 
 :class:`SimPlatform`
-    The pass/advance skeleton every platform runs on.  A subclass implements
+    The pass/advance skeleton every fleet runner runs on, plus the arrival
+    cursor every runner shares.  A subclass implements
 
     * :meth:`step` — one fixpoint pass over the phases of its control plane
       (admissions, autoscaling, serving, retirement) at the current
       timestamp, returning whether anything progressed;
-    * :meth:`on_event` — react to one due event (typically by waking the
-      replica the event belongs to);
+    * :meth:`on_event` — react to one due event of its own kinds (typically
+      by waking the replica the event belongs to), deferring the pool
+      lifecycle kinds (``BOOT``, ``CRASH``, ``RECOVER``) to the base class;
     * :meth:`done` — the run's termination condition;
-    * :meth:`next_external_ms` — the next event the heap does not know about
-      (the arrival cursor into a pre-sorted trace, a handoff-queue head).
+    * :meth:`next_external_ms` — only when the heap and the arrival cursor
+      miss an event source (the disaggregated handoff-queue head).
 
     :meth:`drive` then repeats the seed loops' exact visiting discipline:
     run ``step`` passes at the current timestamp until a pass makes no
@@ -44,6 +46,25 @@ in the style of event-driven flow-level network simulators:
     timestamps in the same order and reproduces the seed metrics
     bit-for-bit, while doing O(changed replicas) work per visit instead of
     O(fleet).
+
+:class:`PoolRuntime`
+    One replica pool's control plane; a runner builds one per pool and
+    keeps only what is its own (salvage and exit gating, slot claims and KV
+    eviction, prefill batches and the handoff heap).  The runtime owns the
+    pool's balancer, autoscaler band, crash stock and dirty list and does,
+    the same way for every pool type:
+
+    * ``route`` — balancer choice, index check, enqueue, trace annotation,
+      wake;
+    * ``scale`` / ``boot`` — the autoscaler phase and scale-out boots;
+    * ``crash`` / ``recover`` — oldest-active victim, last-replica guard,
+      drain, orphan requeue through ``route``, replacement boot;
+    * ``sample_gauges`` — queue depth, busy count, active size, KV bytes.
+
+    Only per-pool-type facts stay outside: the entry class (how an item
+    joins its queue, how busy it counts) and the replica factory the runner
+    passes, used for scale-out and for rebuilding a crashed entry's
+    hardware on recovery.
 
 Event ordering guarantees
 -------------------------
@@ -69,12 +90,13 @@ queue; ``clockwork`` never waits), as must any future ``select_batch``.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.recorder import NULL_RECORDER
+from repro.tenancy import tenant_backlog
 
-__all__ = ["Event", "EventQueue", "Clock", "SimPlatform", "PoolState",
-           "scale_pool", "pool_is_static"]
+__all__ = ["Event", "EventQueue", "Clock", "SimPlatform", "PoolRuntime",
+           "BOOT", "CRASH", "RECOVER", "RUNNER_KINDS"]
 
 
 class Event:
@@ -228,122 +250,91 @@ class Clock:
         self.now_ms = start_ms
 
 
-class PoolState:
-    """Incrementally maintained membership views of one replica pool.
-
-    The seed loops rebuilt ``fleet.active()`` / ``fleet.serving()`` and the
-    handle index assignments from scratch at every timestamp.  Membership
-    only changes on boot, drain and retire, so the kernel keeps the three
-    views live instead: ``serving`` (entries order, ACTIVE + DRAINING),
-    ``active`` (entries order, balancer-visible) and the parallel ``handles``
-    list with positions assigned.  ``boots`` holds the in-flight scale-out
-    boot events and ``draining`` counts members awaiting retirement so the
-    retire scan can be skipped entirely for the common static-fleet case.
-    """
-
-    __slots__ = ("fleet", "serving", "active", "handles", "boots", "draining",
-                 "obs_name", "last_desired")
-
-    def __init__(self, fleet: Any, obs_name: str = "serve") -> None:
-        self.fleet = fleet
-        self.serving: List[Any] = list(fleet.entries)
-        self.active: List[Any] = []
-        self.handles: List[Any] = []
-        self.boots: List[Event] = []
-        self.draining = 0
-        #: Pool label on emitted gauges ("serve", "prefill", "decode").
-        self.obs_name = obs_name
-        #: Last autoscaler target emitted as a gauge (decision de-dup).
-        self.last_desired: Optional[int] = None
-        self.refresh_active()
-
-    def refresh_active(self) -> None:
-        active = [e for e in self.serving if e.status == "active"]
-        for position, entry in enumerate(active):
-            entry.handle.index = position
-        self.active = active
-        self.handles = [entry.handle for entry in active]
-
-    def add(self, entry: Any) -> None:
-        """Record a freshly booted member (already registered in the fleet)."""
-        self.serving.append(entry)
-        self.refresh_active()
-
-    def retire_idle(self, now_ms: float) -> None:
-        """Targeted version of ``BaseFleet.retire_idle`` over the live view."""
-        if not self.draining:
-            return
-        removed = False
-        for entry in self.serving:
-            if entry.status == "draining" and entry.is_idle(now_ms):
-                entry.status = "retired"
-                entry.retired_ms = now_ms
-                self.draining -= 1
-                removed = True
-        if removed:
-            self.serving = [e for e in self.serving if e.status != "retired"]
+#: Pool lifecycle event kinds, handled by :meth:`SimPlatform.on_event`:
+#: the payload is the :class:`PoolRuntime` (for ``CRASH``, a
+#: ``(pool, fault)`` pair).  Runner-specific kinds start at ``RUNNER_KINDS``.
+BOOT, CRASH, RECOVER, RUNNER_KINDS = 0, 1, 2, 3
 
 
 class SimPlatform:
-    """Base of the kernel-scheduled platforms: clock, heap and drive loop.
+    """Base of the kernel-scheduled fleet runners: clock, heap, arrival
+    cursor, replica pools and the drive loop.
 
     Subclass responsibilities:
 
-    * call :meth:`EventQueue.push` (register) when a future occurrence is
-      scheduled and :meth:`EventQueue.cancel` when its condition changes;
-    * implement :meth:`wake` bookkeeping so :meth:`step` touches only the
-      replicas whose state changed since the last pass (the default
-      implementation keeps one dirty list; runners with several pools keep
-      their own);
+    * build one :class:`PoolRuntime` per replica pool (it registers itself
+      in ``pools``) and route through it, so routing, scaling, crashes,
+      recoveries, boots and gauges behave the same in every runner;
+    * push its own event kinds (from ``RUNNER_KINDS`` up) when a future
+      occurrence is scheduled, cancel them when their condition changes,
+      and handle them in :meth:`on_event`, deferring the rest to this class;
+    * wake a member through its pool so :meth:`step` touches only the
+      replicas whose state changed since the last pass;
     * keep :meth:`step`'s phase order identical to the seed loop it ports.
     """
 
-    def __init__(self, start_ms: float = 0.0) -> None:
+    def __init__(self, start_ms: float, pending: List[Any]) -> None:
         self.clock = Clock(start_ms)
         self.events = EventQueue()
-        self._dirty: List[Any] = []
+        self.pools: List[PoolRuntime] = []
+        #: The arrival stream, sorted by arrival; ``next_arrival`` is the
+        #: cursor of the first item not yet admitted.
+        self.pending = pending
+        self.arrival_times = [item.arrival_ms for item in pending]
+        self.num_items = len(pending)
+        self.next_arrival = 0
         #: Observability hooks; the shared no-op unless a runner installs a
         #: live :class:`~repro.obs.recorder.TraceRecorder`.
         self.obs = NULL_RECORDER
         self._gauge_next_ms: Optional[float] = None
         self._gauge_interval_ms: Optional[float] = None
 
-    # ------------------------------------------------------------- primitives
-    def register(self, time_ms: float, kind: int, payload: Any = None) -> Event:
-        """Schedule a future event (thin alias over ``events.push``)."""
-        return self.events.push(time_ms, kind, payload)
+    # ------------------------------------------------------------- arrivals
+    def admit_arrivals(self, pool: "PoolRuntime", now_ms: float) -> None:
+        """Route every arrival due by ``now_ms`` into ``pool`` and tell its
+        autoscaler how many were admitted."""
+        arrivals = self.arrival_times
+        num_items = self.num_items
+        cursor = first = self.next_arrival
+        while cursor < num_items and arrivals[cursor] <= now_ms + 1e-9:
+            pool.route(self.pending[cursor], now_ms)
+            cursor += 1
+        if cursor > first:
+            self.next_arrival = cursor
+            pool.autoscaler.observe_admitted(cursor - first, now_ms)
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously registered event."""
-        self.events.cancel(event)
+    def next_external_ms(self, now_ms: float) -> Optional[float]:
+        """Next event the heap does not track: the arrival cursor (runners
+        with a handoff queue add its head)."""
+        if self.next_arrival < self.num_items:
+            return self.arrival_times[self.next_arrival]
+        return None
 
-    def wake(self, entry: Any) -> None:
-        """Mark a replica entry for re-evaluation in the next ``step`` pass."""
-        if not entry._kdirty:
-            entry._kdirty = True
-            self._dirty.append(entry)
+    # --------------------------------------------------------------- faults
+    def schedule_faults(self, faults: Any, start_ms: float) -> None:
+        """Register each fault's crash on its pool.
 
-    def drain_dirty(self, dirty: Optional[List[Any]] = None) -> List[Any]:
-        """Take the current dirty set, in stable replica-id order.
-
-        Entries woken *during* the returned batch's processing land in the
-        next pass's set — mirroring how a seed-loop pass only acted on state
-        as of its start and re-ran on progress.
+        A single-pool run takes every fault; with several pools a fault
+        targets the pool named by its ``pool`` tag.  A crash scheduled
+        before the first arrival fires with it.
         """
-        todo = self._dirty if dirty is None else dirty
-        if not todo:
-            return todo
-        if dirty is None:
-            self._dirty = []
-        else:
-            dirty_copy = list(todo)
-            del todo[:]
-            todo = dirty_copy
-        if len(todo) > 1:
-            todo.sort(key=_replica_id)
-        for entry in todo:
-            entry._kdirty = False
-        return todo
+        if faults is None:
+            return
+        pools = self.pools
+        for fault in faults:
+            pool = pools[0] if len(pools) == 1 else \
+                next(p for p in pools if p.name == fault.pool)
+            self.events.push(max(fault.crash_ms, start_ms), CRASH,
+                             (pool, fault))
+
+    def record_run(self, metrics: Any) -> None:
+        """Copy the run's fault counters (summed over pools) and kernel
+        schedule counters onto ``metrics``."""
+        pools = self.pools
+        metrics.crashes = sum(p.crashes for p in pools)
+        metrics.recoveries = sum(p.recoveries for p in pools)
+        metrics.requeued = sum(p.requeued for p in pools)
+        metrics.kernel_stats = self.events.stats()
 
     # ------------------------------------------------- subclass contract
     def step(self, now_ms: float) -> bool:
@@ -351,16 +342,24 @@ class SimPlatform:
         raise NotImplementedError
 
     def on_event(self, event: Event) -> None:
-        """React to one due event before the passes at its timestamp run."""
-        raise NotImplementedError
+        """React to one due event before the passes at its timestamp run.
+
+        Handles the pool lifecycle kinds; runners override it for their own
+        kinds and defer the rest here.
+        """
+        kind = event.kind
+        now = self.clock.now_ms
+        if kind == BOOT:
+            event.payload.boot(event, now)
+        elif kind == CRASH:
+            pool, fault = event.payload
+            pool.crash(fault, now)
+        else:
+            event.payload.recover(now)
 
     def done(self, now_ms: float) -> bool:
         """Termination condition, checked before every pass (seed parity)."""
         raise NotImplementedError
-
-    def next_external_ms(self, now_ms: float) -> Optional[float]:
-        """Next event the heap does not track (arrival cursor, handoff head)."""
-        return None
 
     # ------------------------------------------------------------------ gauges
     def install_obs(self, obs: Any, start_ms: float) -> None:
@@ -379,7 +378,24 @@ class SimPlatform:
             self._gauge_next_ms = start_ms + float(interval)
 
     def sample_gauges(self, now_ms: float) -> None:
-        """Emit one gauge sample set (subclass hook; default does nothing)."""
+        """Emit one gauge sample set: each pool's series, then its
+        per-tenant backlog (runners with a handoff queue override this)."""
+        for pool in self.pools:
+            pool.sample_gauges(now_ms)
+            self.sample_tenant_backlog(now_ms, [pool], pool.name)
+
+    def sample_tenant_backlog(self, now_ms: float, pools: List["PoolRuntime"],
+                              pool_tag: Optional[str] = None) -> None:
+        """Emit the queued items of ``pools`` per tenant (tenancy runs only)."""
+        tenants = pools[0].tenants
+        if tenants is None:
+            return
+        backlog = tenant_backlog(
+            (item.request_id for pool in pools for entry in pool.serving
+             for item in entry.queue), tenants.tenant_of)
+        for tenant, count in backlog.items():
+            self.obs.gauge(now_ms, "tenant_backlog", count, pool=pool_tag,
+                           tenant=tenant)
 
     def _run_gauges(self, target_ms: float) -> None:
         tick = self._gauge_next_ms
@@ -426,60 +442,257 @@ def _replica_id(entry: Any) -> int:
     return entry.replica_id
 
 
-def scale_pool(sim: SimPlatform, pool: PoolState, autoscaler: Any,
-               now_ms: float, min_replicas: int, max_replicas: int,
-               boot_kind: int) -> None:
-    """One autoscaler evaluation over a pool, the seed loops' "phase 2".
-
-    ``desired`` targets the number of ACTIVE replicas; boots already in
-    flight keep provisioning unless the policy asks to shrink below the
-    current active set (a "hold" during a boot is not a scale-in).
-    Scale-out registers one ``boot_kind`` event per new replica (the
-    subclass spawns on firing); scale-in cancels pending boots outright and
-    drains the newest active replicas down to the target.
-    """
-    desired = int(autoscaler.desired_replicas(now_ms, pool.handles))
-    desired = max(min_replicas, min(max_replicas, desired))
-    obs = sim.obs
-    if obs.enabled and desired != pool.last_desired:
-        # Decision series: one point per *change* of the clamped target, so
-        # the gauge reads as the autoscaler's step function, not a per-pass
-        # heartbeat.
-        obs.gauge(now_ms, "autoscaler_target", desired, pool=pool.obs_name)
-        pool.last_desired = desired
-    active = pool.active
-    provisioned = len(active) + len(pool.boots)
-    if desired > provisioned:
-        delay = max(float(autoscaler.provision_delay_ms), 1e-6)
-        for _ in range(desired - provisioned):
-            pool.boots.append(sim.events.push(now_ms + delay, boot_kind, pool))
-    elif desired < len(active):
-        for event in pool.boots:
-            sim.events.cancel(event)
-        pool.boots.clear()
-        fleet = pool.fleet
-        for entry in sorted(active,
-                            key=_negative_replica_id)[:len(active) - desired]:
-            fleet.drain(entry, now_ms)
-            pool.draining += 1
-        pool.refresh_active()
-
-
 def _negative_replica_id(entry: Any) -> int:
     return -entry.replica_id
 
 
-def pool_is_static(autoscaler: Any, pool: PoolState, min_replicas: int,
-                   max_replicas: int) -> bool:
-    """True when :func:`scale_pool` is provably a no-op for the entire run.
+class PoolRuntime:
+    """The control plane of one replica pool, shared by every fleet runner.
 
-    With the exact ``FixedAutoscaler`` policy (stateless, side-effect free,
-    always proposing the current size) and a starting fleet inside the
-    replica band, every evaluation would return ``desired == provisioned``
-    and membership can never change — so the runners skip the per-pass
-    autoscaler consult entirely.  Subclasses and every other policy keep the
-    seed loops' evaluate-every-pass behaviour.
+    Owns the pool's balancer, autoscaler band, crash stock and dirty list,
+    and keeps three membership views live instead of rebuilding them at
+    every timestamp (membership only changes on boot, drain and retire):
+    ``serving`` (entries order, ACTIVE + DRAINING), ``active`` (entries
+    order, balancer-visible) and the parallel ``handles`` list with
+    positions assigned.  ``boots`` holds the in-flight scale-out boot events
+    and ``draining`` counts members awaiting retirement so the retire scan
+    can be skipped entirely for the common static-fleet case.
+
+    Only per-pool-type facts stay outside, on the entry class:
+
+    * ``entry.queue`` — the list of waiting items;
+    * ``entry.enqueue(item, tenants)`` — how an item joins that queue;
+    * ``entry.busy(now_ms)`` — how busy the replica counts, emitted under
+      the class's ``BUSY_GAUGE`` name;
+    * ``entry.kv`` — its KV-cache accountant, or ``None``.
+
+    ``factory(now_ms, crashed)`` brings one member online, already
+    registered in ``fleet``: scale-out hardware when ``crashed`` is
+    ``None``, otherwise a rebuild of the crashed entry's hardware.
     """
-    from repro.serving.autoscaler import FixedAutoscaler
-    return (type(autoscaler) is FixedAutoscaler
-            and min_replicas <= len(pool.active) <= max_replicas)
+
+    __slots__ = ("sim", "fleet", "balancer", "autoscaler", "min_replicas",
+                 "max_replicas", "factory", "tenants", "name", "serving",
+                 "active", "handles", "boots", "draining", "dirty",
+                 "crash_stock", "crashes", "recoveries", "requeued",
+                 "static", "last_desired", "_busy_gauge", "_label")
+
+    def __init__(self, sim: "SimPlatform", fleet: Any, balancer: Any,
+                 autoscaler: Any, min_replicas: int, max_replicas: int,
+                 factory: Callable[..., Any], tenants: Any = None) -> None:
+        self.sim = sim
+        self.fleet = fleet
+        self.balancer = balancer
+        self.autoscaler = autoscaler
+        self.min_replicas = min_replicas
+        self.max_replicas = max_replicas
+        self.factory = factory
+        #: The run's tenant runtime (``None`` when single-tenant).
+        self.tenants = tenants
+        #: Pool label on emitted gauges ("serve", "prefill", "decode").
+        self.name = fleet.obs_pool
+        self._label = "" if self.name == "serve" else f"{self.name} "
+        self.serving: List[Any] = list(fleet.entries)
+        self._busy_gauge = type(self.serving[0]).BUSY_GAUGE
+        self.active: List[Any] = []
+        self.handles: List[Any] = []
+        self.boots: List[Event] = []
+        self.draining = 0
+        self.dirty: List[Any] = []
+        #: Crashed entries awaiting recovery, oldest first.
+        self.crash_stock: List[Any] = []
+        self.crashes = 0
+        self.recoveries = 0
+        self.requeued = 0
+        #: Last autoscaler target emitted as a gauge (decision de-dup).
+        self.last_desired: Optional[int] = None
+        self.refresh_active()
+        #: With the exact ``FixedAutoscaler`` policy (stateless, always
+        #: proposing the current size) and a starting fleet inside the band,
+        #: every evaluation is a no-op, so :meth:`scale` skips the consult.
+        from repro.serving.autoscaler import FixedAutoscaler
+        self.static = (type(autoscaler) is FixedAutoscaler
+                       and min_replicas <= len(self.active) <= max_replicas)
+        sim.pools.append(self)
+
+    # ------------------------------------------------------------ membership
+    def refresh_active(self) -> None:
+        active = [e for e in self.serving if e.status == "active"]
+        for position, entry in enumerate(active):
+            entry.handle.index = position
+        self.active = active
+        self.handles = [entry.handle for entry in active]
+
+    def add(self, entry: Any) -> None:
+        """Record a freshly booted member (already registered in the fleet)."""
+        self.serving.append(entry)
+        self.refresh_active()
+
+    def drain(self, entry: Any, now_ms: float) -> None:
+        """Stop dispatching to ``entry``; call :meth:`refresh_active` after."""
+        self.fleet.drain(entry, now_ms)
+        self.draining += 1
+
+    def retire_idle(self, now_ms: float) -> None:
+        """Targeted version of ``BaseFleet.retire_idle`` over the live view."""
+        if not self.draining:
+            return
+        removed = False
+        for entry in self.serving:
+            if entry.status == "draining" and entry.is_idle(now_ms):
+                entry.status = "retired"
+                entry.retired_ms = now_ms
+                self.draining -= 1
+                removed = True
+        if removed:
+            self.serving = [e for e in self.serving if e.status != "retired"]
+
+    # ----------------------------------------------------------------- dirty
+    def wake(self, entry: Any) -> None:
+        """Mark a member for re-evaluation in the next ``step`` pass."""
+        if not entry._kdirty:
+            entry._kdirty = True
+            self.dirty.append(entry)
+
+    def drain_dirty(self) -> List[Any]:
+        """Take the current dirty set, in stable replica-id order.
+
+        Entries woken *during* the returned batch's processing land in the
+        next pass's set — mirroring how a seed-loop pass only acted on state
+        as of its start and re-ran on progress.
+        """
+        todo = self.dirty
+        if not todo:
+            return todo
+        self.dirty = []
+        if len(todo) > 1:
+            todo.sort(key=_replica_id)
+        for entry in todo:
+            entry._kdirty = False
+        return todo
+
+    # --------------------------------------------------------------- routing
+    def route(self, item: Any, now_ms: float, requeued: bool = False) -> Any:
+        """Place ``item`` on the member the balancer picks, and wake it.
+
+        A first placement counts as a dispatch and tags the item's tenant;
+        a crash requeue (``requeued=True``) is annotated as such instead.
+        """
+        active = self.active
+        balancer = self.balancer
+        index = int(balancer.choose(item, self.handles, now_ms))
+        if not 0 <= index < len(active):
+            raise ValueError(f"balancer {balancer.name!r} chose "
+                             f"{self._label}replica {index} of {len(active)}")
+        entry = active[index]
+        tenants = self.tenants
+        entry.enqueue(item, tenants)
+        obs = self.sim.obs
+        if requeued:
+            if obs.enabled:
+                obs.annotate(item.request_id, requeued=True)
+        else:
+            entry.dispatched += 1
+            if obs.enabled and tenants is not None:
+                obs.annotate(item.request_id,
+                             tenant=tenants.tenant_of.get(item.request_id))
+        self.wake(entry)
+        return entry
+
+    # --------------------------------------------------------------- scaling
+    def scale(self, now_ms: float) -> None:
+        """One autoscaler evaluation, the seed loops' "phase 2".
+
+        ``desired`` targets the number of ACTIVE replicas; boots already in
+        flight keep provisioning unless the policy asks to shrink below the
+        current active set (a "hold" during a boot is not a scale-in).
+        Scale-out registers one ``BOOT`` event per new replica; scale-in
+        cancels pending boots outright and drains the newest active
+        replicas down to the target.
+        """
+        if self.static:
+            return
+        autoscaler = self.autoscaler
+        desired = int(autoscaler.desired_replicas(now_ms, self.handles))
+        desired = max(self.min_replicas, min(self.max_replicas, desired))
+        obs = self.sim.obs
+        if obs.enabled and desired != self.last_desired:
+            # Decision series: one point per *change* of the clamped target,
+            # so the gauge reads as the autoscaler's step function, not a
+            # per-pass heartbeat.
+            obs.gauge(now_ms, "autoscaler_target", desired, pool=self.name)
+            self.last_desired = desired
+        active = self.active
+        events = self.sim.events
+        provisioned = len(active) + len(self.boots)
+        if desired > provisioned:
+            delay = max(float(autoscaler.provision_delay_ms), 1e-6)
+            for _ in range(desired - provisioned):
+                self.boots.append(events.push(now_ms + delay, BOOT, self))
+        elif desired < len(active):
+            for event in self.boots:
+                events.cancel(event)
+            self.boots.clear()
+            for entry in sorted(active,
+                                key=_negative_replica_id)[:len(active) - desired]:
+                self.drain(entry, now_ms)
+            self.refresh_active()
+
+    def boot(self, event: Event, now_ms: float) -> None:
+        """A scale-out boot completed: bring the new member online."""
+        self.boots.remove(event)
+        self.add(self.factory(now_ms, None))
+
+    # ---------------------------------------------------------------- faults
+    def crash(self, fault: Any, now_ms: float) -> None:
+        """Force-retire the oldest active member; requeue its queued work.
+
+        Its in-flight work is salvaged: it finishes, and the member retires
+        once idle.  Queued items requeue to the survivors through the
+        balancer, and the crashed hardware boots back ``down_ms`` later (the
+        outage subsumes provisioning).  A crash that would empty the pool is
+        skipped: the last replica never dies, so conservation holds by
+        construction.
+        """
+        if len(self.active) < 2:
+            return
+        victim = min(self.active, key=_replica_id)
+        self.drain(victim, now_ms)
+        self.refresh_active()
+        orphans = victim.queue
+        victim.queue = []
+        self.crashes += 1
+        self.crash_stock.append(victim)
+        self.sim.events.push(now_ms + fault.down_ms, RECOVER, self)
+        self.wake(victim)  # retire once its salvaged work finishes
+        for item in orphans:
+            self.route(item, now_ms, requeued=True)
+        self.requeued += len(orphans)
+
+    def recover(self, now_ms: float) -> None:
+        """Boot a replacement for the oldest still-unrecovered crash."""
+        self.add(self.factory(now_ms, self.crash_stock.pop(0)))
+        self.recoveries += 1
+
+    # ---------------------------------------------------------------- gauges
+    def sample_gauges(self, now_ms: float) -> None:
+        """Emit the pool's queue depth, busy count, active size and (when a
+        cache model is on) resident KV bytes."""
+        depth = 0
+        busy = 0
+        kv_bytes = 0.0
+        kv_any = False
+        for entry in self.serving:
+            depth += len(entry.queue)
+            busy += entry.busy(now_ms)
+            kv = entry.kv
+            if kv is not None:
+                kv_any = True
+                kv_bytes += kv.used_bytes()
+        obs = self.sim.obs
+        name = self.name
+        obs.gauge(now_ms, "queue_depth", depth, pool=name)
+        obs.gauge(now_ms, self._busy_gauge, busy, pool=name)
+        obs.gauge(now_ms, "active_replicas", len(self.active), pool=name)
+        if kv_any:
+            obs.gauge(now_ms, "kv_used_bytes", kv_bytes, pool=name)

@@ -177,16 +177,17 @@ _PARSE_KEYS = ("weight", "share", "priority", "slo", "ttft", "exits")
 
 def _parse_tenant_clause(clause: str) -> TenantSpec:
     clause = clause.strip()
-    if not clause:
-        raise ValueError("empty tenant clause")
     name, _, rest = clause.partition(":")
     name = name.strip()
+    if not name.isidentifier():
+        raise ValueError(f"tenant name {name!r} in clause {clause!r} must be "
+                         "an identifier (letters, digits, underscores)")
     kwargs: Dict[str, object] = {}
     if rest.strip():
         for item in rest.split(","):
             item = item.strip()
             if not item:
-                continue
+                raise ValueError(f"tenant {name!r}: empty field in {rest!r}")
             key, sep, value = item.partition("=")
             key = key.strip()
             value = value.strip()
@@ -225,9 +226,13 @@ def parse_tenants(text: str, policy: str = "weighted_fair") -> TenancyConfig:
     Keys: ``weight``, ``share``, ``priority``, ``slo`` (ms), ``ttft`` (ms,
     0 disables shedding), ``exits`` (true/false).
     """
-    clauses = [clause for clause in text.split(";") if clause.strip()]
-    if not clauses:
+    clauses = text.split(";")
+    if not any(clause.strip() for clause in clauses):
         raise ValueError(f"could not parse any tenants from {text!r}")
+    for position, clause in enumerate(clauses):
+        if not clause.strip():
+            raise ValueError(f"empty tenant clause at position {position} "
+                             f"of {text!r}")
     return TenancyConfig(tenants=tuple(_parse_tenant_clause(c) for c in clauses),
                          policy=policy)
 

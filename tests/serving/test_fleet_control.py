@@ -127,6 +127,17 @@ def test_replica_profile_coercion_and_validation():
         ReplicaProfile.parse_list("")
 
 
+@pytest.mark.parametrize("text, match", [
+    ("1,,2", "empty replica profile at position 1 of '1,,2'"),
+    ("2,", "empty replica profile at position 1 of '2,'"),
+    ("5000:", "invalid replica profile '5000:'"),
+    ("1,2:x", "invalid replica profile '2:x'"),
+])
+def test_replica_profile_list_rejects_malformed_fields(text, match):
+    with pytest.raises(ValueError, match=match):
+        ReplicaProfile.parse_list(text)
+
+
 # ------------------------------------------------------------- fleet lifecycle
 
 def test_fleet_state_lifecycle_and_accounting():

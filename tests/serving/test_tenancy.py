@@ -106,6 +106,11 @@ def test_parse_tenants_full_clause():
     ("chat:weight", "expected key=value"),
     ("chat:speed=3", "unknown key 'speed'"),
     ("chat:exits=maybe", "exits must be a boolean"),
+    ("mtbf=1,mttr", "tenant name 'mtbf=1,mttr'"),
+    (",", "tenant name ','"),
+    ("1,,2", "tenant name '1,,2'"),
+    ("chat:weight=4,,slo=80", "empty field in 'weight=4,,slo=80'"),
+    ("chat;;batch", "empty tenant clause at position 1"),
 ])
 def test_parse_tenants_rejects_bad_strings(text, match):
     with pytest.raises(ValueError, match=match):
