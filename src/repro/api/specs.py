@@ -26,6 +26,7 @@ from repro.serving.cluster import (LoadBalancer, ReplicaProfile,
 from repro.obs.spec import TraceSpec
 from repro.tenancy import (TENANT_POLICIES, TenancyConfig, TenantSpec,
                            coerce_tenancy)
+from repro.utils.fields import split_fields
 
 # TraceSpec lives in repro.obs (the observability subsystem owns its own
 # validation) but is re-exported here: it is an experiment spec like the rest.
@@ -117,7 +118,14 @@ class WorkloadSpec:
     @classmethod
     def parse(cls, text: str, requests: int = 4000, rate: Optional[float] = None,
               seed: Optional[int] = None) -> "WorkloadSpec":
-        """Parse ``"video:urban-day"`` / ``"nlp:imdb"`` / ``"generative:squad"``."""
+        """Parse ``"video:urban-day"`` / ``"nlp:imdb"`` / ``"generative:squad"``.
+
+        The ``:source`` part is optional (``"video"`` selects the kind's
+        default source), but neither part may be empty.
+        """
+        if len(split_fields(text, ":", "workload field")) > 2:
+            raise ValueError(f"workload {text!r} has more than one ':'; "
+                             "expected 'kind[:source]'")
         kind, _, source = str(text).partition(":")
         return cls(kind=kind, source=source, requests=requests, rate=rate, seed=seed)
 

@@ -55,12 +55,14 @@ from repro.models.zoo import Task, get_model, list_models
 from repro.serving.autoscaler import AUTOSCALER_NAMES
 from repro.serving.cluster import balancer_names
 from repro.tenancy import TENANT_POLICIES
+from repro.utils.fields import split_fields
 
 __all__ = ["build_parser", "main"]
 
 
-def _split_csv(text: str) -> List[str]:
-    return [item.strip() for item in str(text).split(",") if item.strip()]
+def _split_csv(text: str, option: str) -> List[str]:
+    """Split a comma-separated CLI list; an empty field is an error."""
+    return split_fields(text, ",", f"{option} field")
 
 
 def _balancer_arg(text: str) -> str:
@@ -70,25 +72,21 @@ def _balancer_arg(text: str) -> str:
 
 
 def _parse_int_list(text: str, option: str) -> List[int]:
+    items = _split_csv(text, option)
     try:
-        values = [int(item) for item in _split_csv(text)]
+        return [int(item) for item in items]
     except ValueError as exc:
         raise ValueError(f"{option} expects a comma-separated list of integers, "
                          f"got {text!r}") from exc
-    if not values:
-        raise ValueError(f"{option} expects at least one value, got {text!r}")
-    return values
 
 
 def _parse_float_list(text: str, option: str) -> List[float]:
+    items = _split_csv(text, option)
     try:
-        values = [float(item) for item in _split_csv(text)]
+        return [float(item) for item in items]
     except ValueError as exc:
         raise ValueError(f"{option} expects a comma-separated list of numbers, "
                          f"got {text!r}") from exc
-    if not values:
-        raise ValueError(f"{option} expects at least one value, got {text!r}")
-    return values
 
 
 def _add_trace_args(parser) -> None:
@@ -594,7 +592,7 @@ def _classification_experiment(args: argparse.Namespace) -> Experiment:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     experiment = _classification_experiment(args)
-    report = experiment.run(_split_csv(args.systems))
+    report = experiment.run(_split_csv(args.systems, "--systems"))
     if args.trace_out:
         _write_traces(report, args.trace_out)
     if args.json:
@@ -626,7 +624,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     spec = get_model(args.model)
     if not spec.is_generative:
         raise ValueError(f"{spec.name} is not generative; use the 'classify' command")
-    systems = _split_csv(args.systems)
+    systems = _split_csv(args.systems, "--systems")
     if args.with_baselines:
         systems += [name for name in ("free", "optimal") if name not in systems]
     workload = WorkloadSpec(kind="generative", source=args.dataset,
@@ -752,11 +750,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                          or args.decode_replicas)
     grid = {"replicas": _parse_int_list(args.replicas, "--replicas")}
     if args.balancer:
-        grid["balancer"] = [_balancer_arg(b) for b in _split_csv(args.balancer)]
+        grid["balancer"] = [_balancer_arg(b)
+                            for b in _split_csv(args.balancer, "--balancer")]
     if args.fleet_mode:
-        grid["fleet_mode"] = _split_csv(args.fleet_mode)
+        grid["fleet_mode"] = _split_csv(args.fleet_mode, "--fleet-mode")
     if args.autoscaler:
-        grid["autoscaler"] = _split_csv(args.autoscaler)
+        grid["autoscaler"] = _split_csv(args.autoscaler, "--autoscaler")
     # Fleet-wide bounds/profiles target the decode pool in disaggregated
     # grids (matching the 'generate' command's remapping) — the ClusterSpec
     # fleet-wide keys are rejected as dead configuration there.
@@ -800,7 +799,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Live per-point progress on stderr (table mode only: --json output must
     # stay a single parseable document, and stderr keeps pipelines clean).
     progress = None if args.json else _sweep_progress_printer()
-    sweep = experiment.sweep(systems=_split_csv(args.systems),
+    sweep = experiment.sweep(systems=_split_csv(args.systems, "--systems"),
                              workers=args.workers, executor=args.executor,
                              progress=progress, **grid)
     if args.json:

@@ -22,9 +22,15 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.utils.fields import split_fields
+
 __all__ = ["FaultSpec", "FaultSchedule", "FAULT_POOLS", "parse_faults", "coerce_faults"]
 
 FAULT_POOLS: Tuple[str, ...] = ("decode", "prefill")
+
+#: Largest expected crash count ``horizon_ms / mtbf_ms`` a random fault
+#: process may draw (the draw loops once per crash).
+MAX_EXPECTED_CRASHES = 100_000
 
 
 @dataclass(frozen=True)
@@ -93,13 +99,19 @@ class FaultSchedule:
 
         Inter-crash gaps are exponential with mean ``mtbf_ms`` and each
         outage's duration is exponential with mean ``mttr_ms`` (clamped to
-        at least 1 ms so a recovery event always exists).
+        at least 1 ms so a recovery event always exists).  At most
+        :data:`MAX_EXPECTED_CRASHES` crashes may be expected over the
+        horizon.
         """
         for key, value in (("mtbf_ms", mtbf_ms), ("mttr_ms", mttr_ms),
                            ("horizon_ms", horizon_ms)):
             value = float(value)
             if not math.isfinite(value) or value <= 0:
                 raise ValueError(f"fault {key} must be finite and positive, got {value!r}")
+        if horizon_ms / mtbf_ms > MAX_EXPECTED_CRASHES:
+            raise ValueError(f"fault horizon_ms={horizon_ms:g} over mtbf_ms="
+                             f"{mtbf_ms:g} expects more than "
+                             f"{MAX_EXPECTED_CRASHES} crashes")
         rng = np.random.default_rng(int(seed))
         faults = []
         now = float(rng.exponential(mtbf_ms))
@@ -112,10 +124,10 @@ class FaultSchedule:
 
 def _parse_fault_clause(clause: str) -> FaultSpec:
     parts = [p.strip() for p in clause.split(":")]
-    if len(parts) not in (2, 3) or not all(parts[:2]):
+    if len(parts) not in (2, 3) or not all(parts):
         raise ValueError(f"fault clause must be crash_ms:down_ms[:pool], got {clause!r}")
     kwargs: Dict[str, object] = {"crash_ms": float(parts[0]), "down_ms": float(parts[1])}
-    if len(parts) == 3 and parts[2]:
+    if len(parts) == 3:
         kwargs["pool"] = parts[2]
     return FaultSpec(**kwargs)
 
@@ -135,15 +147,16 @@ def parse_faults(text: str) -> FaultSchedule:
         raise ValueError("empty fault schedule string")
     if "=" in text:
         kwargs: Dict[str, Union[float, int, str]] = {}
-        for item in text.split(","):
-            item = item.strip()
-            if not item:
-                continue
+        seen = set()
+        for item in split_fields(text, ",", "fault schedule field"):
             key, sep, value = item.partition("=")
             key = key.strip()
             value = value.strip()
             if not sep or not value:
                 raise ValueError(f"fault schedule: expected key=value, got {item!r}")
+            if key in seen:
+                raise ValueError(f"fault schedule: duplicate key {key!r} in {text!r}")
+            seen.add(key)
             if key in ("mtbf", "mttr", "horizon"):
                 kwargs[f"{key}_ms"] = float(value)
             elif key == "seed":
@@ -157,9 +170,7 @@ def parse_faults(text: str) -> FaultSchedule:
         if missing:
             raise ValueError(f"fault schedule is missing required keys {missing} in {text!r}")
         return FaultSchedule.poisson(**kwargs)  # type: ignore[arg-type]
-    clauses = [clause for clause in text.split(";") if clause.strip()]
-    if not clauses:
-        raise ValueError(f"could not parse any faults from {text!r}")
+    clauses = split_fields(text, ";", "fault clause")
     return FaultSchedule(faults=tuple(_parse_fault_clause(c) for c in clauses))
 
 

@@ -39,20 +39,19 @@ from repro.serving.platform import (BatchExecutorFn, ReplicaState,
 from repro.serving.clockwork import ClockworkPlatform
 from repro.serving.tfserve import TFServingPlatform
 from repro.serving.hf_pipelines import ContinuousBatchingEngine, GenerativeMetrics
-from repro.serving.fleet import BaseFleet, FleetState, ReplicaProfile
+from repro.serving.fleet import BaseFleet, FleetState, ReplicaProfile, ReplicaView
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeClusterPlatform,
-                                              GenerativeFleetState,
-                                              GenerativeReplicaHandle)
+                                              GenerativeFleetState)
 from repro.serving.disagg import (DisaggregatedMetrics, DisaggregatedPlatform,
-                                  PrefillFleetState, PrefillReplicaHandle)
+                                  PrefillFleetState)
 from repro.serving.autoscaler import (AUTOSCALER_NAMES, Autoscaler,
                                       FixedAutoscaler, PredictiveAutoscaler,
                                       ReactiveAutoscaler, build_autoscaler)
 from repro.serving.cluster import (BALANCER_NAMES, ClusterPlatform,
                                    JoinShortestQueueBalancer,
                                    LeastWorkLeftBalancer, LoadBalancer,
-                                   PowerOfTwoChoicesBalancer, ReplicaHandle,
+                                   PowerOfTwoChoicesBalancer,
                                    RoundRobinBalancer,
                                    WeightedJoinShortestQueueBalancer,
                                    WeightedRoundRobinBalancer, build_balancer)
@@ -75,14 +74,13 @@ __all__ = [
     "GenerativeClusterPlatform",
     "GenerativeClusterMetrics",
     "GenerativeFleetState",
-    "GenerativeReplicaHandle",
     "DisaggregatedMetrics",
     "DisaggregatedPlatform",
     "PrefillFleetState",
-    "PrefillReplicaHandle",
     "BaseFleet",
     "FleetState",
     "ReplicaProfile",
+    "ReplicaView",
     "Autoscaler",
     "FixedAutoscaler",
     "ReactiveAutoscaler",
@@ -96,7 +94,6 @@ __all__ = [
     "WeightedJoinShortestQueueBalancer",
     "LeastWorkLeftBalancer",
     "PowerOfTwoChoicesBalancer",
-    "ReplicaHandle",
     "build_balancer",
     "BALANCER_NAMES",
 ]

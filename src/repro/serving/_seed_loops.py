@@ -76,16 +76,13 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
                     self._spawn(fleet, factory, now)
 
         active = fleet.active()
-        for position, entry in enumerate(active):
-            entry.handle.index = position
-        handles = [entry.handle for entry in active]
 
         # Phase 1: admit + dispatch everything that has arrived by now.
         admitted = 0
         while (next_arrival < num_requests
                and pending[next_arrival].arrival_ms <= now + 1e-9):
             request = pending[next_arrival]
-            index = int(self.balancer.choose(request, handles, now))
+            index = int(self.balancer.choose(request, active, now))
             if not 0 <= index < len(active):
                 raise ValueError(f"balancer {self.balancer.name!r} chose replica "
                                  f"{index} of {len(active)}")
@@ -98,7 +95,7 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
             self.autoscaler.observe_admitted(admitted, now)
 
         # Phase 2: autoscaler decision on the global clock.
-        desired = int(self.autoscaler.desired_replicas(now, handles))
+        desired = int(self.autoscaler.desired_replicas(now, active))
         desired = max(self.min_replicas, min(self.max_replicas, desired))
         provisioned = len(active) + len(boot_times)
         if desired > provisioned:
@@ -110,16 +107,13 @@ def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],
                                 key=lambda e: -e.replica_id)[:len(active) - desired]:
                 fleet.drain(entry, now)
             active = fleet.active()
-            for position, entry in enumerate(active):
-                entry.handle.index = position
-            handles = [entry.handle for entry in active]
 
         # Phase 3: cluster-level drop salvage.
-        if handles and (len(handles) > 1
-                        or any(e.status == DRAINING and e.state.queue
-                               for e in fleet.entries)):
+        if active and (len(active) > 1
+                       or any(e.status == DRAINING and e.state.queue
+                              for e in fleet.entries)):
             rerouted += self._salvage_doomed(fleet.serving(), active,
-                                             handles, now, rerouted_ids)
+                                             now, rerouted_ids)
 
         next_arrival_ms = (pending[next_arrival].arrival_ms
                            if next_arrival < num_requests else np.inf)
@@ -214,16 +208,13 @@ def seed_generative_run(cluster: GenerativeClusterPlatform, workload,
                               self.scale_out_profile, mean_tokens, now)
 
         active = fleet.active()
-        for position, entry in enumerate(active):
-            entry.handle.index = position
-        handles = [entry.handle for entry in active]
 
         # Phase 1: admit + dispatch every sequence that has arrived by now.
         admitted = 0
         while (next_arrival < num_sequences
                and pending[next_arrival].arrival_ms <= now + 1e-9):
             sample = pending[next_arrival]
-            index = int(self.balancer.choose(sample, handles, now))
+            index = int(self.balancer.choose(sample, active, now))
             if not 0 <= index < len(active):
                 raise ValueError(f"balancer {self.balancer.name!r} chose "
                                  f"replica {index} of {len(active)}")
@@ -236,7 +227,7 @@ def seed_generative_run(cluster: GenerativeClusterPlatform, workload,
             self.autoscaler.observe_admitted(admitted, now)
 
         # Phase 2: autoscaler decision on the global clock.
-        desired = int(self.autoscaler.desired_replicas(now, handles))
+        desired = int(self.autoscaler.desired_replicas(now, active))
         desired = max(self.min_replicas, min(self.max_replicas, desired))
         provisioned = len(active) + len(boot_times)
         if desired > provisioned:
@@ -248,9 +239,6 @@ def seed_generative_run(cluster: GenerativeClusterPlatform, workload,
                                 key=lambda e: -e.replica_id)[:len(active) - desired]:
                 fleet.drain(entry, now)
             active = fleet.active()
-            for position, entry in enumerate(active):
-                entry.handle.index = position
-            handles = [entry.handle for entry in active]
 
         # Phase 3 per serving replica: free decode slots claim queue heads.
         progressed = False
@@ -321,10 +309,10 @@ def seed_disagg_run(platform, workload, policy_factory: PolicyFactory):
     next_arrival = 0
     now = start
 
-    def pool_scaling(fleet, autoscaler, handles, boots, low, high):
+    def pool_scaling(fleet, autoscaler, replicas, boots, low, high):
         """Shared per-pool autoscaler application (boot or drain)."""
         active = fleet.active()
-        desired = int(autoscaler.desired_replicas(now, handles))
+        desired = int(autoscaler.desired_replicas(now, replicas))
         desired = max(low, min(high, desired))
         provisioned = len(active) + len(boots)
         if desired > provisioned:
@@ -352,16 +340,13 @@ def seed_disagg_run(platform, workload, policy_factory: PolicyFactory):
                            now)
 
         prefill_active = prefill_fleet.active()
-        for position, entry in enumerate(prefill_active):
-            entry.handle.index = position
-        prefill_handles = [e.handle for e in prefill_active]
 
         # Phase 1: admit arrivals into the prefill pool.
         admitted = 0
         while (next_arrival < num_sequences
                and pending[next_arrival].arrival_ms <= now + 1e-9):
             sample = pending[next_arrival]
-            index = int(self.prefill_balancer.choose(sample, prefill_handles,
+            index = int(self.prefill_balancer.choose(sample, prefill_active,
                                                      now))
             if not 0 <= index < len(prefill_active):
                 raise ValueError(f"balancer {self.prefill_balancer.name!r} "
@@ -377,7 +362,7 @@ def seed_disagg_run(platform, workload, policy_factory: PolicyFactory):
 
         # Phase 2: the prefill pool's own autoscaler.
         pool_scaling(prefill_fleet, self.prefill_autoscaler,
-                     prefill_handles, prefill_boots, self.prefill_min,
+                     prefill_active, prefill_boots, self.prefill_min,
                      self.prefill_max)
 
         # Phase 3: prefill progress — finish due chunk-batches and start new.
@@ -409,13 +394,10 @@ def seed_disagg_run(platform, workload, policy_factory: PolicyFactory):
 
         # Phase 4: handoff — transferred sequences dispatch to decode.
         decode_active = decode_fleet.active()
-        for position, entry in enumerate(decode_active):
-            entry.handle.index = position
-        decode_handles = [e.handle for e in decode_active]
         moved = 0
         while handoff and handoff[0][0] <= now + 1e-9:
             _, _, sample = heapq.heappop(handoff)
-            index = int(self.decode_balancer.choose(sample, decode_handles,
+            index = int(self.decode_balancer.choose(sample, decode_active,
                                                     now))
             if not 0 <= index < len(decode_active):
                 raise ValueError(f"balancer {self.decode_balancer.name!r} "
@@ -430,7 +412,7 @@ def seed_disagg_run(platform, workload, policy_factory: PolicyFactory):
             progressed = True
 
         # Phase 5: the decode pool's own autoscaler.
-        pool_scaling(decode_fleet, self.decode_autoscaler, decode_handles,
+        pool_scaling(decode_fleet, self.decode_autoscaler, decode_active,
                      decode_boots, self.decode_min, self.decode_max)
 
         # Phase 6: free decode slots claim queue heads.

@@ -89,11 +89,12 @@ class Autoscaler(abc.ABC):
 
     @abc.abstractmethod
     def desired_replicas(self, now_ms: float, replicas: Sequence) -> int:
-        """Desired number of ACTIVE replicas given the live handles.
+        """Desired number of ACTIVE replicas given the live members.
 
-        ``replicas`` holds the active :class:`~repro.serving.fleet.ReplicaHandle`
-        views; the cluster clamps the returned value to its replica band, so
-        policies may return any non-negative integer.
+        ``replicas`` holds the active entries, each its own resource view
+        (:class:`~repro.serving.fleet.ReplicaView`: load, work and capacity
+        signals); the cluster clamps the returned value to its replica
+        band, so policies may return any non-negative integer.
         """
 
 
@@ -241,13 +242,13 @@ class PredictiveAutoscaler(Autoscaler):
 
     def _per_replica_qps(self, replicas: Sequence) -> Optional[float]:
         rates = []
-        for handle in replicas:
-            full = handle.platform.max_batch_size
-            batch_ms = handle.platform.predicted_batch_time_ms(full)
+        for replica in replicas:
+            full = replica.max_batch_size
+            batch_ms = replica.predicted_batch_time_ms(full)
             if batch_ms is None:
                 if self.service_time_ms is None:
                     continue
-                batch_ms = self.service_time_ms / handle.profile.speed
+                batch_ms = self.service_time_ms / replica.profile.speed
                 full = 1
             if batch_ms > 0:
                 rates.append(1000.0 * full / batch_ms)

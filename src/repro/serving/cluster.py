@@ -3,7 +3,7 @@
 A :class:`ClusterPlatform` dispatches one arrival stream across a **dynamic
 fleet** of :class:`~repro.serving.platform.ServingPlatform` replicas.  The
 member set is no longer a frozen constructor list: it is
-:class:`~repro.serving.fleet.FleetState` — live replica handles with an
+:class:`~repro.serving.fleet.FleetState` — live replica entries with an
 add / drain / retire lifecycle — mutated mid-run by a pluggable
 :class:`~repro.serving.autoscaler.Autoscaler` (``none`` / ``reactive`` /
 ``predictive``) evaluated on the global clock.  Replicas may be heterogeneous:
@@ -64,14 +64,17 @@ Balancing policies
 
 The costing interface
 ---------------------
-Every policy costs replicas through the uniform **resource view** on
-:class:`~repro.serving.fleet.ReplicaHandle` — load signals
+Every policy costs replicas through the uniform **resource view**,
+:class:`~repro.serving.fleet.ReplicaView`.  Each pool's entry class derives
+from it, so a balancer is handed the ACTIVE entries themselves: load signals
 (``jobs_in_system``, ``work_left_ms``), identity (``weight``, ``profile``)
-and KV-cache signals (``kv_prefix_hit_tokens``, ``kv_overflow_ms``, which
-read 0 on platforms without a cache model).  Single-signal policies derive
-from :class:`CostBalancer` and implement ``cost(view, item, now_ms)``; the
-round-robin family keeps its custom rotation state but still touches
-replicas only through the view.
+and KV-cache signals (``kv_prefix_hit_tokens``, ``kv_prefix_hit_ms``,
+``kv_overflow_ms``, which read 0 on replicas without a cache model).  The
+cost model behind the signals is per entry kind — requests batched on a
+latency profile, decode tokens across slots, or prompt chunks.
+Single-signal policies derive from :class:`CostBalancer` and implement
+``cost(view, item, now_ms)``; the round-robin family keeps its custom
+rotation state but still touches replicas only through the view.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ from repro.faults import FaultSchedule, FaultSpec, coerce_faults
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
 from repro.serving.fleet import (DRAINING, FleetState, ReplicaEntry,
-                                 ReplicaHandle, ReplicaProfile)
+                                 ReplicaProfile, ReplicaView)
 from repro.serving.kernel import RUNNER_KINDS, PoolRuntime, SimPlatform
 from repro.serving.metrics import ClusterMetrics
 from repro.serving.platform import BatchExecutorFn, BatchResult, ServingPlatform
@@ -95,7 +98,6 @@ from repro.tenancy import (TenancyConfig, build_request_runtime, coerce_tenancy,
                            request_rollups)
 
 __all__ = [
-    "ReplicaHandle",
     "ReplicaProfile",
     "LoadBalancer",
     "CostBalancer",
@@ -119,16 +121,17 @@ __all__ = [
 class LoadBalancer(abc.ABC):
     """Dispatch policy: pick the replica that receives an arriving request.
 
-    ``replicas`` holds the handles of the currently ACTIVE members only, so a
-    balancer never sees draining or retired replicas.  Membership may change
-    between calls (autoscaling); stateful balancers must key any per-replica
-    state by ``handle.replica_id``, which is stable for a replica's lifetime.
+    ``replicas`` holds the currently ACTIVE entries only, each read through
+    its :class:`~repro.serving.fleet.ReplicaView` signals, so a balancer
+    never sees draining or retired replicas.  Membership may change between
+    calls (autoscaling); stateful balancers must key any per-replica state
+    by ``replica_id``, which is stable for a replica's lifetime.
     """
 
     name: str = "abstract"
 
     @abc.abstractmethod
-    def choose(self, request: Request, replicas: Sequence[ReplicaHandle],
+    def choose(self, request: Request, replicas: Sequence[ReplicaView],
                now_ms: float) -> int:
         """Return the index of the replica that should serve ``request``."""
 
@@ -139,18 +142,18 @@ class LoadBalancer(abc.ABC):
 class CostBalancer(LoadBalancer):
     """A balancer that routes to the replica with the minimum cost.
 
-    Subclasses implement :meth:`cost` against the resource view (a
-    :class:`~repro.serving.fleet.ReplicaHandle`); ``choose`` is the shared
-    argmin with the handle index as the deterministic tie-break, which is
-    exactly the historical JSQ/least-work semantics.  ``cost`` may return a
+    Subclasses implement :meth:`cost` against one entry's resource view (a
+    :class:`~repro.serving.fleet.ReplicaView`); ``choose`` is the shared
+    argmin with the position in ``replicas`` as the deterministic tie-break,
+    which is exactly the historical JSQ/least-work semantics.  ``cost`` may return a
     float or a tuple (compared lexicographically).
     """
 
     @abc.abstractmethod
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: ReplicaView, item, now_ms: float):
         """Cost of placing ``item`` on ``view`` now (lower is better)."""
 
-    def choose(self, request, replicas: Sequence[ReplicaHandle],
+    def choose(self, request, replicas: Sequence[ReplicaView],
                now_ms: float) -> int:
         return min(range(len(replicas)),
                    key=lambda i: (self.cost(replicas[i], request, now_ms), i))
@@ -164,7 +167,7 @@ class RoundRobinBalancer(LoadBalancer):
     def __init__(self) -> None:
         self._next = 0
 
-    def choose(self, request: Request, replicas: Sequence[ReplicaHandle],
+    def choose(self, request: Request, replicas: Sequence[ReplicaView],
                now_ms: float) -> int:
         index = self._next % len(replicas)
         self._next += 1
@@ -189,14 +192,14 @@ class WeightedRoundRobinBalancer(LoadBalancer):
     def __init__(self) -> None:
         self._current: dict = {}
 
-    def choose(self, request: Request, replicas: Sequence[ReplicaHandle],
+    def choose(self, request: Request, replicas: Sequence[ReplicaView],
                now_ms: float) -> int:
         total = 0.0
-        for handle in replicas:
-            weight = handle.weight
+        for replica in replicas:
+            weight = replica.weight
             total += weight
-            self._current[handle.replica_id] = \
-                self._current.get(handle.replica_id, 0.0) + weight
+            self._current[replica.replica_id] = \
+                self._current.get(replica.replica_id, 0.0) + weight
         best = max(range(len(replicas)),
                    key=lambda i: (self._current[replicas[i].replica_id], -i))
         self._current[replicas[best].replica_id] -= total
@@ -211,7 +214,7 @@ class JoinShortestQueueBalancer(CostBalancer):
 
     name = "join_shortest_queue"
 
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: ReplicaView, item, now_ms: float):
         return view.jobs_in_system(now_ms)
 
 
@@ -220,7 +223,7 @@ class WeightedJoinShortestQueueBalancer(CostBalancer):
 
     name = "weighted_join_shortest_queue"
 
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: ReplicaView, item, now_ms: float):
         return view.jobs_in_system(now_ms) / view.weight
 
 
@@ -229,7 +232,7 @@ class LeastWorkLeftBalancer(CostBalancer):
 
     name = "least_work_left"
 
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: ReplicaView, item, now_ms: float):
         return view.work_left_ms(now_ms)
 
 
@@ -246,7 +249,7 @@ class KVAwareLeastWorkBalancer(CostBalancer):
 
     name = "kv_aware_least_work"
 
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: ReplicaView, item, now_ms: float):
         return view.work_left_ms(now_ms) + view.kv_overflow_ms(item, now_ms)
 
 
@@ -265,7 +268,7 @@ class PrefixAffinityBalancer(CostBalancer):
 
     name = "prefix_affinity"
 
-    def cost(self, view: ReplicaHandle, item, now_ms: float):
+    def cost(self, view: ReplicaView, item, now_ms: float):
         return (view.work_left_ms(now_ms) - view.kv_prefix_hit_ms(item)
                 + view.kv_overflow_ms(item, now_ms))
 
@@ -279,7 +282,7 @@ class PowerOfTwoChoicesBalancer(LoadBalancer):
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
 
-    def choose(self, request: Request, replicas: Sequence[ReplicaHandle],
+    def choose(self, request: Request, replicas: Sequence[ReplicaView],
                now_ms: float) -> int:
         n = len(replicas)
         if n == 1:
@@ -540,23 +543,22 @@ class ClusterPlatform:
 
     # ------------------------------------------------------------- salvage
     @staticmethod
-    def _completion_eta_ms(handle: ReplicaHandle, jobs_ahead: int,
+    def _completion_eta_ms(entry: ReplicaEntry, jobs_ahead: int,
                            now_ms: float) -> float:
         """When a request with ``jobs_ahead - 1`` queued jobs in front of it
-        (itself included in the count) would finish on ``handle``."""
-        full = handle.platform.max_batch_size
-        per_batch = handle.platform.predicted_batch_time_ms(min(jobs_ahead, full))
+        (itself included in the count) would finish on ``entry``."""
+        full = entry.max_batch_size
+        per_batch = entry.predicted_batch_time_ms(min(jobs_ahead, full))
         if per_batch is None:
             # No latency model: fall back to one unit per request (same
             # degradation as work_left_ms), scaled by replica speed.
-            return now_ms + handle.backlog_ms(now_ms) \
-                + jobs_ahead / handle.profile.speed
-        return now_ms + handle.backlog_ms(now_ms) \
+            return now_ms + entry.backlog_ms(now_ms) \
+                + jobs_ahead / entry.profile.speed
+        return now_ms + entry.backlog_ms(now_ms) \
             + per_batch * math.ceil(jobs_ahead / full)
 
     def _salvage_doomed(self, serving: List[ReplicaEntry],
-                        active: List[ReplicaEntry],
-                        handles: List[ReplicaHandle], now_ms: float,
+                        active: List[ReplicaEntry], now_ms: float,
                         rerouted_ids: Set[int]) -> int:
         """Re-route doomed queued requests once to a replica that can serve them.
 
@@ -571,28 +573,28 @@ class ClusterPlatform:
         for entry in serving:
             if not entry.platform.drop_expired or not entry.state.queue:
                 continue
-            source = entry.handle
             keep: List[Request] = []
             moved_here = 0
             for request in entry.state.queue:
                 deadline = request.deadline_ms()
                 if (request.request_id in rerouted_ids
                         or now_ms > deadline
-                        or self._completion_eta_ms(source, len(keep) + 1, now_ms)
+                        or self._completion_eta_ms(entry, len(keep) + 1, now_ms)
                         <= deadline + 1e-9):
                     keep.append(request)
                     continue
-                candidates = [h for h in handles if h is not source]
+                candidates = [e for e in active if e is not entry]
                 if not candidates:
                     keep.append(request)
                     continue
+                # ``min`` keeps the first of equal ETAs: ties go to the
+                # lowest position in ``active``.
                 target = min(candidates,
-                             key=lambda h: (self._completion_eta_ms(
-                                 h, h.queue_length() + 1, now_ms), h.index))
+                             key=lambda e: self._completion_eta_ms(
+                                 e, e.queue_length() + 1, now_ms))
                 if self._completion_eta_ms(target, target.queue_length() + 1,
                                            now_ms) <= deadline + 1e-9:
-                    target_entry = active[target.index]
-                    target_entry.platform.admit(target_entry.state, request)
+                    target.platform.admit(target.state, request)
                     if self.obs.enabled:
                         self.obs.annotate(request.request_id, rerouted=True)
                     rerouted_ids.add(request.request_id)
@@ -793,17 +795,17 @@ class _ClusterRun(SimPlatform):
 
         # Phase 2: autoscaler decision on the global clock.
         pool.scale(now)
-        handles = pool.handles
+        active = pool.active
 
         # Phase 3: cluster-level drop salvage.  One active replica is enough
         # when draining replicas still hold queues — their doomed requests
         # can move to it.
-        if self._drop_expired and handles and (
-                len(handles) > 1
+        if self._drop_expired and active and (
+                len(active) > 1
                 or any(e.status == DRAINING and e.state.queue
                        for e in pool.serving)):
-            moved = cluster._salvage_doomed(pool.serving, pool.active, handles,
-                                            now, self.rerouted_ids)
+            moved = cluster._salvage_doomed(pool.serving, active, now,
+                                            self.rerouted_ids)
             if moved:
                 self.rerouted += moved
                 # Queues changed out from under armed timers and idle

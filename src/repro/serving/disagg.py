@@ -52,7 +52,7 @@ from repro.generative.sequences import SequenceSample
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
 from repro.serving.cluster import LoadBalancer, build_balancer
-from repro.serving.fleet import ACTIVE, BaseFleet, ReplicaProfile
+from repro.serving.fleet import ACTIVE, BaseFleet, ReplicaProfile, ReplicaView
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeFleetState,
                                               PolicyFactory, _enqueue_sequence,
@@ -64,101 +64,22 @@ from repro.serving.kernel import RUNNER_KINDS, PoolRuntime, SimPlatform
 from repro.tenancy import (TenancyConfig, TenantRuntime, build_sequence_runtime,
                            coerce_tenancy, sequence_rollups)
 
-__all__ = ["PrefillReplicaHandle", "PrefillReplicaEntry", "PrefillFleetState",
+__all__ = ["PrefillReplicaEntry", "PrefillFleetState",
            "DisaggregatedMetrics", "DisaggregatedPlatform"]
 
 
-class _PrefillView:
-    """Platform-shaped shim over a prefill replica for autoscaler policies.
-
-    The predictive autoscaler reads capacity as ``max_batch_size`` requests
-    per ``predicted_batch_time_ms``; for a prefill replica that is one
-    chunk-batch of prompts at the workload's mean prompt length.
-    """
-
-    def __init__(self, entry: "PrefillReplicaEntry") -> None:
-        self._entry = entry
-
-    @property
-    def max_batch_size(self) -> int:
-        return self._entry.prefill_batch
-
-    def predicted_batch_time_ms(self, batch_size: int) -> float:
-        entry = self._entry
-        tokens = int(round(batch_size * max(entry.mean_prompt_tokens, 1.0)))
-        return entry.model.batch_prefill_ms(tokens) / entry.profile.speed
-
-
-class PrefillReplicaHandle:
-    """Read-only prefill-replica view for load balancers and autoscalers.
-
-    Load is expressed in *pending prefill chunks* — queued prompt tokens
-    divided into chunk units, plus the chunk-batch on the accelerator — so
-    JSQ balances by prompt length rather than prompt count, and the reactive
-    autoscaler's "jobs in system" watermark scales with queued prompt tokens,
-    which is exactly the signal the prefill pool must grow on.
-    """
-
-    def __init__(self, entry: "PrefillReplicaEntry") -> None:
-        self._entry = entry
-        self.index = 0
-        self.platform = _PrefillView(entry)
-
-    @property
-    def replica_id(self) -> int:
-        return self._entry.replica_id
-
-    @property
-    def profile(self) -> ReplicaProfile:
-        return self._entry.profile
-
-    @property
-    def weight(self) -> float:
-        """Dispatch weight of this replica (its relative speed)."""
-        return self._entry.profile.speed
-
-    def queue_length(self) -> int:
-        return len(self._entry.queue)
-
-    def jobs_in_system(self, now_ms: float) -> float:
-        """Pending prefill chunks: queued prompt chunks + the in-flight batch."""
-        entry = self._entry
-        chunks = sum(entry.model.num_chunks(s.prompt_tokens)
-                     for s in entry.queue)
-        if entry.busy_until_ms > now_ms + 1e-9:
-            chunks += (entry.busy_until_ms - now_ms) / max(
-                entry.model.chunk_time_ms() / entry.profile.speed, 1e-9)
-        return float(chunks)
-
-    def backlog_ms(self, now_ms: float) -> float:
-        """Remaining accelerator time of the in-flight chunk-batch."""
-        return max(0.0, self._entry.busy_until_ms - now_ms)
-
-    def work_left_ms(self, now_ms: float) -> float:
-        """Expected milliseconds until this replica would drain its queue."""
-        entry = self._entry
-        work = self.backlog_ms(now_ms)
-        queued_tokens = sum(s.prompt_tokens for s in entry.queue)
-        if queued_tokens <= 0:
-            return work
-        return work + entry.model.batch_prefill_ms(queued_tokens) / entry.profile.speed
-
-    # ------------------------------------------------------------- KV signals
-    # Prefill replicas hold no decode-side KV residency, so the cache
-    # signals read 0 and the KV-aware policies degrade to least-work here.
-    def kv_prefix_hit_tokens(self, item) -> int:
-        return 0
-
-    def kv_prefix_hit_ms(self, item) -> float:
-        return 0.0
-
-    def kv_overflow_ms(self, item, now_ms: float) -> float:
-        return 0.0
-
-
 @dataclass
-class PrefillReplicaEntry:
-    """One prefill replica: chunk-batch processor with fleet lifecycle."""
+class PrefillReplicaEntry(ReplicaView):
+    """One prefill replica: chunk-batch processor with fleet lifecycle.
+
+    As a resource view its load is *pending prefill chunks* — queued prompt
+    tokens divided into chunk units, plus the chunk-batch on the
+    accelerator — so JSQ balances by prompt length rather than prompt
+    count, and the reactive autoscaler's "jobs in system" watermark scales
+    with queued prompt tokens, which is exactly the signal the prefill pool
+    must grow on.  Prefill replicas hold no decode-side KV residency, so the
+    cache signals read 0 and the KV-aware policies degrade to least-work.
+    """
 
     replica_id: int
     model: PrefillModel
@@ -169,7 +90,6 @@ class PrefillReplicaEntry:
     #: the chunk-batch on the accelerator (empty when free).
     in_flight: List[SequenceSample] = field(default_factory=list)
     busy_until_ms: float = -np.inf
-    handle: Optional[PrefillReplicaHandle] = None
     status: str = ACTIVE
     added_ms: float = 0.0
     retired_ms: Optional[float] = None
@@ -186,14 +106,9 @@ class PrefillReplicaEntry:
     #: kernel-scheduler bookkeeping: dirty flag for the pool's dirty list.
     _kdirty: bool = field(default=False, repr=False, compare=False)
 
-    #: pool-runtime facts: a busy replica counts once; no decode KV cache.
+    #: pool-runtime fact: a busy replica counts once.
     BUSY_GAUGE: ClassVar[str] = "busy_replicas"
-    kv: ClassVar[None] = None
     enqueue = _enqueue_sequence
-
-    def __post_init__(self) -> None:
-        if self.handle is None:
-            self.handle = PrefillReplicaHandle(self)
 
     def is_free(self, now_ms: float) -> bool:
         return not self.in_flight and self.busy_until_ms <= now_ms + 1e-9
@@ -205,10 +120,37 @@ class PrefillReplicaEntry:
         """No queued prompts and nothing on the accelerator (retirement)."""
         return not self.queue and self.is_free(now_ms)
 
-    def active_ms(self, end_ms: float) -> float:
-        """Wall-clock time this replica was provisioned (added → retired)."""
-        until = self.retired_ms if self.retired_ms is not None else end_ms
-        return max(0.0, until - self.added_ms)
+    # ------------------------------------------------------------ cost model
+    def jobs_in_system(self, now_ms: float) -> float:
+        """Pending prefill chunks: queued prompt chunks + the in-flight batch."""
+        chunks = sum(self.model.num_chunks(s.prompt_tokens)
+                     for s in self.queue)
+        if self.busy_until_ms > now_ms + 1e-9:
+            chunks += (self.busy_until_ms - now_ms) / max(
+                self.model.chunk_time_ms() / self.profile.speed, 1e-9)
+        return float(chunks)
+
+    def backlog_ms(self, now_ms: float) -> float:
+        """Remaining accelerator time of the in-flight chunk-batch."""
+        return max(0.0, self.busy_until_ms - now_ms)
+
+    def work_left_ms(self, now_ms: float) -> float:
+        """Expected milliseconds until this replica would drain its queue."""
+        work = self.backlog_ms(now_ms)
+        queued_tokens = sum(s.prompt_tokens for s in self.queue)
+        if queued_tokens <= 0:
+            return work
+        return work + self.model.batch_prefill_ms(queued_tokens) / self.profile.speed
+
+    @property
+    def max_batch_size(self) -> int:
+        """Prompts per chunk-batch."""
+        return self.prefill_batch
+
+    def predicted_batch_time_ms(self, batch_size: int) -> float:
+        """One chunk-batch of prompts at the workload's mean prompt length."""
+        tokens = int(round(batch_size * max(self.mean_prompt_tokens, 1.0)))
+        return self.model.batch_prefill_ms(tokens) / self.profile.speed
 
 
 class PrefillFleetState(BaseFleet):

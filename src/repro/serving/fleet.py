@@ -15,9 +15,10 @@ Three pieces:
     ``speed``\\ × faster) and a ``cost_weight`` used when accounting
     replica-seconds (a faster machine usually bills more per second).
 
-:class:`ReplicaHandle`
-    Read-only view of one replica that load balancers and autoscalers may
-    inspect (queue length, jobs in system, expected work left, profile).
+:class:`ReplicaView` / :class:`ReplicaEntry`
+    One member of the fleet.  The entry is itself the read-only view load
+    balancers and autoscalers inspect (queue length, jobs in system,
+    expected work left, capacity, profile).
 
 :class:`FleetState`
     The live membership.  Replicas move through a three-state lifecycle::
@@ -40,8 +41,9 @@ from typing import ClassVar, List, Optional, Tuple, Union
 
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.platform import BatchExecutorFn, ReplicaState, ServingPlatform
+from repro.utils.fields import split_fields
 
-__all__ = ["ReplicaProfile", "ReplicaHandle", "ReplicaEntry", "BaseFleet",
+__all__ = ["ReplicaProfile", "ReplicaView", "ReplicaEntry", "BaseFleet",
            "FleetState", "ACTIVE", "DRAINING", "RETIRED"]
 
 #: Replica lifecycle states.
@@ -101,11 +103,8 @@ class ReplicaProfile:
         if not str(text).strip():
             raise ValueError(f"replica profiles must name at least one replica, "
                              f"got {text!r}")
-        items = [item.strip() for item in str(text).split(",")]
-        if "" in items:
-            raise ValueError(f"empty replica profile at position "
-                             f"{items.index('')} of {text!r}")
-        return tuple(cls.coerce(item) for item in items)
+        return tuple(cls.coerce(item)
+                     for item in split_fields(text, ",", "replica profile"))
 
     def describe(self) -> dict:
         described = {"speed": float(self.speed),
@@ -115,30 +114,28 @@ class ReplicaProfile:
         return described
 
 
-class ReplicaHandle:
-    """Read-only view of one replica that balancers/autoscalers may inspect.
+class ReplicaView:
+    """The resource view every load balancer and autoscaler costs against.
 
-    This is the **resource view** every load balancer costs against — one
-    uniform interface across the classification, generative-cluster and
-    disaggregated platforms instead of per-platform ad-hoc attributes:
+    Each pool's entry class (:class:`ReplicaEntry`, the generative decode
+    and prefill entries) derives from this, so a policy reads the entries
+    themselves — one uniform interface across the classification,
+    generative-cluster and disaggregated platforms:
 
-    * load signals — :meth:`queue_length`, :meth:`jobs_in_system`,
-      :meth:`backlog_ms`, :meth:`work_left_ms`;
-    * identity/shape — ``index``, ``replica_id``, ``profile``, ``weight``;
-    * KV-cache signals — :meth:`kv_prefix_hit_tokens` and
-      :meth:`kv_overflow_ms`, which default to 0 here (no cache model) and
-      are overridden by generative decode handles when a
-      :class:`~repro.generative.decoding.KVCacheAccountant` is attached.
+    * load signals — :meth:`queue_length`, ``jobs_in_system(now_ms)``,
+      ``backlog_ms(now_ms)``, ``work_left_ms(now_ms)``;
+    * identity/shape — ``replica_id``, ``profile``, :attr:`weight`;
+    * capacity — ``max_batch_size`` and ``predicted_batch_time_ms(batch)``;
+    * KV-cache signals — :meth:`kv_prefix_hit_tokens`,
+      :meth:`kv_prefix_hit_ms` and :meth:`kv_overflow_ms`, read from the
+      entry's ``kv`` accountant and 0 when it has none.
+
+    This class implements the signals every pool shares; each entry class
+    implements its own load and capacity cost model.
     """
 
-    def __init__(self, index: int, platform: ServingPlatform, state: ReplicaState,
-                 profile: Optional[ReplicaProfile] = None,
-                 replica_id: Optional[int] = None) -> None:
-        self.index = index
-        self.platform = platform
-        self.state = state
-        self.profile = profile if profile is not None else ReplicaProfile()
-        self.replica_id = replica_id if replica_id is not None else index
+    #: KV-cache accountant (``None``: no cache model on this replica).
+    kv = None
 
     @property
     def weight(self) -> float:
@@ -146,8 +143,80 @@ class ReplicaHandle:
         return self.profile.speed
 
     def queue_length(self) -> int:
-        return self.state.queue_length()
+        return len(self.queue)
 
+    def active_ms(self, end_ms: float) -> float:
+        """Wall-clock time this replica was provisioned (added → retired)."""
+        until = self.retired_ms if self.retired_ms is not None else end_ms
+        return max(0.0, until - self.added_ms)
+
+    # ------------------------------------------------------- KV-cache signals
+    def kv_prefix_hit_tokens(self, item) -> int:
+        """Shared-prefix tokens of ``item``'s group already resident in this
+        replica's KV cache (0 without a cache model)."""
+        kv = self.kv
+        return kv.prefix_hit_tokens(item) if kv is not None else 0
+
+    def kv_prefix_hit_ms(self, item) -> float:
+        """Prefill milliseconds resident shared-prefix tokens would save
+        ``item`` here, priced at this replica's re-prefill rate (0 without
+        a cache model)."""
+        kv = self.kv
+        if kv is None:
+            return 0.0
+        return kv.prefix_hit_tokens(item) * kv.recompute_ms_per_token
+
+    def kv_overflow_ms(self, item, now_ms: float) -> float:
+        """Expected recompute cost (ms) of the cache thrash placing ``item``
+        here would cause (0 without a cache model)."""
+        kv = self.kv
+        if kv is None:
+            return 0.0
+        return kv.overflow_tokens(item) * kv.recompute_ms_per_token
+
+
+@dataclass
+class ReplicaEntry(ReplicaView):
+    """One member of the fleet: platform, executor, profile and lifecycle."""
+
+    replica_id: int
+    platform: ServingPlatform
+    executor: BatchExecutorFn
+    profile: ReplicaProfile
+    state: ReplicaState
+    status: str = ACTIVE
+    added_ms: float = 0.0
+    retired_ms: Optional[float] = None
+    #: requests the balancer originally routed here (reroutes not included).
+    dispatched: int = 0
+    #: kernel-scheduler bookkeeping: dirty flag + armed policy wake-up event.
+    _kdirty: bool = field(default=False, repr=False, compare=False)
+    _wake_event: Optional[object] = field(default=None, repr=False, compare=False)
+
+    #: pool-runtime fact: gauge name of :meth:`busy`.
+    BUSY_GAUGE: ClassVar[str] = "busy_replicas"
+
+    def is_idle(self, now_ms: float) -> bool:
+        """No queued work and the accelerator is free (retirement condition)."""
+        return not self.state.queue and self.state.idle_at(now_ms)
+
+    @property
+    def queue(self) -> List:
+        return self.state.queue
+
+    @queue.setter
+    def queue(self, requests: List) -> None:
+        self.state.queue = requests
+
+    def enqueue(self, request, tenants=None) -> None:
+        """Join this replica's queue (tenant rank order rides on
+        ``Request.rank``, so ``tenants`` is not needed here)."""
+        self.platform.admit(self.state, request)
+
+    def busy(self, now_ms: float) -> int:
+        return 0 if self.state.idle_at(now_ms) else 1
+
+    # ------------------------------------------------------------ cost model
     def jobs_in_system(self, now_ms: float) -> int:
         """Waiting requests plus the batch currently on the accelerator.
 
@@ -176,83 +245,26 @@ class ReplicaHandle:
         queued = self.queue_length()
         if queued == 0:
             return work
-        full = self.platform.max_batch_size
-        per_batch = self.platform.predicted_batch_time_ms(min(queued, full))
+        full = self.max_batch_size
+        per_batch = self.predicted_batch_time_ms(min(queued, full))
         if per_batch is None:
             return work + float(queued) / self.profile.speed
         return work + per_batch * math.ceil(queued / full)
 
-    # ------------------------------------------------------- KV-cache signals
-    def kv_prefix_hit_tokens(self, item) -> int:
-        """Shared-prefix tokens of ``item`` already resident in this
-        replica's KV cache (0 without a cache model)."""
-        return 0
-
-    def kv_prefix_hit_ms(self, item) -> float:
-        """Prefill milliseconds placing ``item`` here would *save* thanks to
-        resident shared-prefix tokens (0 without a cache model)."""
-        return 0.0
-
-    def kv_overflow_ms(self, item, now_ms: float) -> float:
-        """Expected recompute cost (ms) of the cache thrash placing ``item``
-        here would cause (0 without a cache model)."""
-        return 0.0
-
-
-@dataclass
-class ReplicaEntry:
-    """One member of the fleet: platform, executor, profile and lifecycle."""
-
-    replica_id: int
-    platform: ServingPlatform
-    executor: BatchExecutorFn
-    profile: ReplicaProfile
-    state: ReplicaState
-    handle: ReplicaHandle
-    status: str = ACTIVE
-    added_ms: float = 0.0
-    retired_ms: Optional[float] = None
-    #: requests the balancer originally routed here (reroutes not included).
-    dispatched: int = 0
-    #: kernel-scheduler bookkeeping: dirty flag + armed policy wake-up event.
-    _kdirty: bool = field(default=False, repr=False, compare=False)
-    _wake_event: Optional[object] = field(default=None, repr=False, compare=False)
-
-    #: pool-runtime facts: gauge name of :meth:`busy`, and no KV cache.
-    BUSY_GAUGE: ClassVar[str] = "busy_replicas"
-    kv: ClassVar[None] = None
-
-    def active_ms(self, end_ms: float) -> float:
-        """Wall-clock time this replica was provisioned (added → retired)."""
-        until = self.retired_ms if self.retired_ms is not None else end_ms
-        return max(0.0, until - self.added_ms)
-
-    def is_idle(self, now_ms: float) -> bool:
-        """No queued work and the accelerator is free (retirement condition)."""
-        return not self.state.queue and self.state.idle_at(now_ms)
-
     @property
-    def queue(self) -> List:
-        return self.state.queue
+    def max_batch_size(self) -> int:
+        return self.platform.max_batch_size
 
-    @queue.setter
-    def queue(self, requests: List) -> None:
-        self.state.queue = requests
-
-    def enqueue(self, request, tenants=None) -> None:
-        """Join this replica's queue (tenant rank order rides on
-        ``Request.rank``, so ``tenants`` is not needed here)."""
-        self.platform.admit(self.state, request)
-
-    def busy(self, now_ms: float) -> int:
-        return 0 if self.state.idle_at(now_ms) else 1
+    def predicted_batch_time_ms(self, batch_size: int) -> Optional[float]:
+        """The platform's latency-model batch time (``None`` without one)."""
+        return self.platform.predicted_batch_time_ms(batch_size)
 
 
 class BaseFleet:
     """Shared lifecycle machinery of a dynamic replica membership.
 
-    Entries may be any object carrying ``replica_id`` / ``profile`` /
-    ``status`` / ``added_ms`` / ``retired_ms`` plus ``active_ms(end_ms)`` and
+    Entries are :class:`ReplicaView` subclasses carrying ``replica_id`` /
+    ``profile`` / ``status`` / ``added_ms`` / ``retired_ms`` plus
     ``is_idle(now_ms)``; the classification fleet (:class:`FleetState`) and
     the generative fleet (:mod:`repro.serving.generative_cluster`) both build
     on this so the ACTIVE → DRAINING → RETIRED semantics, the fleet-size
@@ -353,10 +365,7 @@ class FleetState(BaseFleet):
         # and the replica's stable id without per-call-site wiring.
         platform.obs = self.obs
         state.obs_replica = self._next_id
-        handle = ReplicaHandle(index=len(self.entries), platform=platform,
-                               state=state, profile=profile,
-                               replica_id=self._next_id)
         entry = ReplicaEntry(replica_id=self._next_id, platform=platform,
                              executor=executor, profile=profile, state=state,
-                             handle=handle, added_ms=now_ms)
+                             added_ms=now_ms)
         return self._register(entry, now_ms)

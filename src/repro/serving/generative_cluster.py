@@ -50,7 +50,7 @@ from repro.generative.decoding import (KVCacheAccountant, PrefillModel,
 from repro.obs.recorder import NULL_RECORDER
 from repro.serving.autoscaler import Autoscaler, build_autoscaler
 from repro.serving.cluster import LoadBalancer, build_balancer
-from repro.serving.fleet import ACTIVE, BaseFleet, ReplicaProfile
+from repro.serving.fleet import ACTIVE, BaseFleet, ReplicaProfile, ReplicaView
 from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
                                         GenerativeMetrics, TokenExitPolicy,
                                         VanillaTokenPolicy)
@@ -64,7 +64,7 @@ from repro.tenancy import (TenancyConfig, TenantRuntime, build_sequence_runtime,
 #: (exit-policy override ``allow_exits=False``).
 _NO_EXIT_POLICY = VanillaTokenPolicy()
 
-__all__ = ["GenerativeReplicaHandle", "GenerativeReplicaEntry",
+__all__ = ["GenerativeReplicaEntry",
            "GenerativeFleetState", "GenerativeClusterMetrics",
            "GenerativeClusterPlatform", "PolicyFactory"]
 
@@ -90,113 +90,15 @@ def _enqueue_sequence(entry, sample, tenants: Optional[TenantRuntime] = None
                   pool=entry.obs_pool, replica=entry.replica_id)
 
 
-class _EngineView:
-    """Platform-shaped shim over a decode replica for autoscaler policies.
-
-    The classification autoscalers read replica capacity through
-    ``handle.platform`` (``max_batch_size`` + ``predicted_batch_time_ms``);
-    for a decode replica the analogous quantities are the number of decode
-    slots and the expected time to turn every slot over once (mean sequence
-    length × depth-scaled step time).
-    """
-
-    def __init__(self, entry: "GenerativeReplicaEntry") -> None:
-        self._entry = entry
-
-    @property
-    def max_batch_size(self) -> int:
-        return self._entry.engine.max_batch_size
-
-    def predicted_batch_time_ms(self, batch_size: int) -> float:
-        return self._entry.mean_tokens * self._entry.expected_token_ms()
-
-
-class GenerativeReplicaHandle:
-    """Read-only decode-replica view for load balancers and autoscalers.
-
-    Mirrors :class:`~repro.serving.fleet.ReplicaHandle` so every existing
-    balancer (round-robin, JSQ, least-work-left, power-of-two, weighted
-    variants) and autoscaler (reactive, predictive) runs unchanged on
-    generative fleets — the *cost model* underneath is token-level.
-    """
-
-    def __init__(self, entry: "GenerativeReplicaEntry") -> None:
-        self._entry = entry
-        self.index = 0
-        self.platform = _EngineView(entry)
-
-    @property
-    def replica_id(self) -> int:
-        return self._entry.replica_id
-
-    @property
-    def profile(self) -> ReplicaProfile:
-        return self._entry.profile
-
-    @property
-    def weight(self) -> float:
-        """Dispatch weight of this replica (its relative speed)."""
-        return self._entry.profile.speed
-
-    def queue_length(self) -> int:
-        return len(self._entry.queue)
-
-    def jobs_in_system(self, now_ms: float) -> int:
-        """Queued sequences plus the streams decoding in occupied slots."""
-        return len(self._entry.queue) + self._entry.busy_slots(now_ms)
-
-    def backlog_ms(self, now_ms: float) -> float:
-        """Remaining decode time of the stream occupying the *soonest-free*
-        slot — when the replica could next start a queued sequence."""
-        free = self._entry.next_free_slot_ms()
-        return max(0.0, free - now_ms)
-
-    def work_left_ms(self, now_ms: float) -> float:
-        """Outstanding decode work in expected milliseconds.
-
-        In-flight streams contribute their remaining slot occupancy; queued
-        sequences contribute ``tokens × depth-scaled step time`` at the
-        replica's speed.  This is what makes ``least_work_left`` price decode
-        replicas correctly: ten queued 12-token answers are cheaper than two
-        60-token summaries even though JSQ counts them as five times the load.
-        """
-        entry = self._entry
-        work = sum(max(0.0, t - now_ms) for t in entry.slots)
-        if not entry.queue:
-            return work
-        token_ms = entry.expected_token_ms()
-        queued_tokens = sum(s.num_tokens for s in entry.queue)
-        # Queued work drains across all slots in parallel.
-        return work + queued_tokens * token_ms / entry.engine.max_batch_size
-
-    # ------------------------------------------------------------- KV signals
-    def kv_prefix_hit_tokens(self, item) -> int:
-        """Shared-prefix tokens of ``item``'s group resident in this
-        replica's KV cache (0 when the cache model is disabled)."""
-        kv = self._entry.kv
-        return kv.prefix_hit_tokens(item) if kv is not None else 0
-
-    def kv_prefix_hit_ms(self, item) -> float:
-        """Prefill milliseconds resident shared-prefix tokens would save
-        ``item`` here, priced at this replica's re-prefill rate (0 when the
-        cache model is disabled)."""
-        kv = self._entry.kv
-        if kv is None:
-            return 0.0
-        return kv.prefix_hit_tokens(item) * kv.recompute_ms_per_token
-
-    def kv_overflow_ms(self, item, now_ms: float) -> float:
-        """Expected recompute cost of the cache overflow admitting ``item``
-        would cause here (0 when the cache model is disabled)."""
-        kv = self._entry.kv
-        if kv is None:
-            return 0.0
-        return kv.overflow_tokens(item) * kv.recompute_ms_per_token
-
-
 @dataclass
-class GenerativeReplicaEntry:
-    """One decode replica of the fleet: engine, policy, slots and lifecycle."""
+class GenerativeReplicaEntry(ReplicaView):
+    """One decode replica of the fleet: engine, policy, slots and lifecycle.
+
+    As a resource view its cost model is token-level, so every balancer
+    (round-robin, JSQ, least-work-left, power-of-two, weighted variants, the
+    KV-aware policies) and autoscaler (reactive, predictive) runs unchanged
+    on generative fleets.
+    """
 
     replica_id: int
     engine: ContinuousBatchingEngine
@@ -207,7 +109,6 @@ class GenerativeReplicaEntry:
     slots: List[float] = field(default_factory=list)
     queue: List = field(default_factory=list)
     metrics: GenerativeMetrics = field(default_factory=GenerativeMetrics)
-    handle: Optional[GenerativeReplicaHandle] = None
     status: str = ACTIVE
     added_ms: float = 0.0
     retired_ms: Optional[float] = None
@@ -240,8 +141,6 @@ class GenerativeReplicaEntry:
     def __post_init__(self) -> None:
         if not self.slots:
             self.slots = [-np.inf] * self.engine.max_batch_size
-        if self.handle is None:
-            self.handle = GenerativeReplicaHandle(self)
 
     # ------------------------------------------------------------------ slots
     def busy_slots(self, now_ms: float) -> int:
@@ -261,12 +160,44 @@ class GenerativeReplicaEntry:
     def is_idle(self, now_ms: float) -> bool:
         return not self.queue and self.busy_slots(now_ms) == 0
 
-    def active_ms(self, end_ms: float) -> float:
-        """Wall-clock time this replica was provisioned (added → retired)."""
-        until = self.retired_ms if self.retired_ms is not None else end_ms
-        return max(0.0, until - self.added_ms)
-
     # ------------------------------------------------------------- work model
+    def jobs_in_system(self, now_ms: float) -> int:
+        """Queued sequences plus the streams decoding in occupied slots."""
+        return len(self.queue) + self.busy_slots(now_ms)
+
+    def backlog_ms(self, now_ms: float) -> float:
+        """Remaining decode time of the stream occupying the *soonest-free*
+        slot — when the replica could next start a queued sequence."""
+        free = self.next_free_slot_ms()
+        return max(0.0, free - now_ms)
+
+    def work_left_ms(self, now_ms: float) -> float:
+        """Outstanding decode work in expected milliseconds.
+
+        In-flight streams contribute their remaining slot occupancy; queued
+        sequences contribute ``tokens × depth-scaled step time`` at the
+        replica's speed.  This is what makes ``least_work_left`` price decode
+        replicas correctly: ten queued 12-token answers are cheaper than two
+        60-token summaries even though JSQ counts them as five times the load.
+        """
+        work = sum(max(0.0, t - now_ms) for t in self.slots)
+        if not self.queue:
+            return work
+        token_ms = self.expected_token_ms()
+        queued_tokens = sum(s.num_tokens for s in self.queue)
+        # Queued work drains across all slots in parallel.
+        return work + queued_tokens * token_ms / self.engine.max_batch_size
+
+    @property
+    def max_batch_size(self) -> int:
+        """Decode slots: the streams this replica decodes concurrently."""
+        return self.engine.max_batch_size
+
+    def predicted_batch_time_ms(self, batch_size: int) -> float:
+        """Expected time to turn every slot over once: mean sequence length
+        times the depth-scaled step time."""
+        return self.mean_tokens * self.expected_token_ms()
+
     def expected_token_ms(self) -> float:
         """Depth-scaled expected decode-step time per token on this replica.
 

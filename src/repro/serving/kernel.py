@@ -450,13 +450,15 @@ class PoolRuntime:
     """The control plane of one replica pool, shared by every fleet runner.
 
     Owns the pool's balancer, autoscaler band, crash stock and dirty list,
-    and keeps three membership views live instead of rebuilding them at
+    and keeps two membership views live instead of rebuilding them at
     every timestamp (membership only changes on boot, drain and retire):
-    ``serving`` (entries order, ACTIVE + DRAINING), ``active`` (entries
-    order, balancer-visible) and the parallel ``handles`` list with
-    positions assigned.  ``boots`` holds the in-flight scale-out boot events
-    and ``draining`` counts members awaiting retirement so the retire scan
-    can be skipped entirely for the common static-fleet case.
+    ``serving`` (entries order, ACTIVE + DRAINING) and ``active`` (entries
+    order), the list handed straight to the balancer and the autoscaler —
+    every entry is its own resource view
+    (:class:`~repro.serving.fleet.ReplicaView`), so a balancer's answer is a
+    position in ``active``.  ``boots`` holds the in-flight scale-out boot
+    events and ``draining`` counts members awaiting retirement so the
+    retire scan can be skipped entirely for the common static-fleet case.
 
     Only per-pool-type facts stay outside, on the entry class:
 
@@ -473,7 +475,7 @@ class PoolRuntime:
 
     __slots__ = ("sim", "fleet", "balancer", "autoscaler", "min_replicas",
                  "max_replicas", "factory", "tenants", "name", "serving",
-                 "active", "handles", "boots", "draining", "dirty",
+                 "active", "boots", "draining", "dirty",
                  "crash_stock", "crashes", "recoveries", "requeued",
                  "static", "last_desired", "_busy_gauge", "_label")
 
@@ -495,7 +497,6 @@ class PoolRuntime:
         self.serving: List[Any] = list(fleet.entries)
         self._busy_gauge = type(self.serving[0]).BUSY_GAUGE
         self.active: List[Any] = []
-        self.handles: List[Any] = []
         self.boots: List[Event] = []
         self.draining = 0
         self.dirty: List[Any] = []
@@ -517,11 +518,7 @@ class PoolRuntime:
 
     # ------------------------------------------------------------ membership
     def refresh_active(self) -> None:
-        active = [e for e in self.serving if e.status == "active"]
-        for position, entry in enumerate(active):
-            entry.handle.index = position
-        self.active = active
-        self.handles = [entry.handle for entry in active]
+        self.active = [e for e in self.serving if e.status == "active"]
 
     def add(self, entry: Any) -> None:
         """Record a freshly booted member (already registered in the fleet)."""
@@ -580,7 +577,7 @@ class PoolRuntime:
         """
         active = self.active
         balancer = self.balancer
-        index = int(balancer.choose(item, self.handles, now_ms))
+        index = int(balancer.choose(item, active, now_ms))
         if not 0 <= index < len(active):
             raise ValueError(f"balancer {balancer.name!r} chose "
                              f"{self._label}replica {index} of {len(active)}")
@@ -613,7 +610,7 @@ class PoolRuntime:
         if self.static:
             return
         autoscaler = self.autoscaler
-        desired = int(autoscaler.desired_replicas(now_ms, self.handles))
+        desired = int(autoscaler.desired_replicas(now_ms, self.active))
         desired = max(self.min_replicas, min(self.max_replicas, desired))
         obs = self.sim.obs
         if obs.enabled and desired != self.last_desired:

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+from repro.utils.fields import split_fields
+
 __all__ = ["TenantSpec", "TenancyConfig", "TENANT_POLICIES", "TENANT_PRIORITIES",
            "DEFAULT_TENANT", "parse_tenants", "coerce_tenancy"]
 
@@ -183,6 +185,7 @@ def _parse_tenant_clause(clause: str) -> TenantSpec:
         raise ValueError(f"tenant name {name!r} in clause {clause!r} must be "
                          "an identifier (letters, digits, underscores)")
     kwargs: Dict[str, object] = {}
+    seen = set()
     if rest.strip():
         for item in rest.split(","):
             item = item.strip()
@@ -193,6 +196,10 @@ def _parse_tenant_clause(clause: str) -> TenantSpec:
             value = value.strip()
             if not sep or not value:
                 raise ValueError(f"tenant {name!r}: expected key=value, got {item!r}")
+            if key in seen:
+                raise ValueError(f"tenant {name!r}: duplicate key {key!r} "
+                                 f"in {rest!r}")
+            seen.add(key)
             if key == "weight":
                 kwargs["weight"] = float(value)
             elif key == "share":
@@ -226,13 +233,9 @@ def parse_tenants(text: str, policy: str = "weighted_fair") -> TenancyConfig:
     Keys: ``weight``, ``share``, ``priority``, ``slo`` (ms), ``ttft`` (ms,
     0 disables shedding), ``exits`` (true/false).
     """
-    clauses = text.split(";")
-    if not any(clause.strip() for clause in clauses):
+    if not text.replace(";", "").strip():
         raise ValueError(f"could not parse any tenants from {text!r}")
-    for position, clause in enumerate(clauses):
-        if not clause.strip():
-            raise ValueError(f"empty tenant clause at position {position} "
-                             f"of {text!r}")
+    clauses = split_fields(text, ";", "tenant clause")
     return TenancyConfig(tenants=tuple(_parse_tenant_clause(c) for c in clauses),
                          policy=policy)
 

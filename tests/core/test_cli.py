@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.api import get_system, list_systems
-from repro.cli import build_parser, main
+from repro.cli import _parse_float_list, _parse_int_list, build_parser, main
 
 
 def test_parser_requires_a_command():
@@ -262,3 +262,26 @@ def test_generate_command_runs_cluster_with_autoscaler(capsys):
 def test_sweep_command_rejects_malformed_replica_list():
     with pytest.raises(SystemExit):
         main(["sweep", "--replicas", "1,two"])
+
+
+@pytest.mark.parametrize("parse, text, match", [
+    (_parse_int_list, "1,,2", "empty --opt field at position 1 of '1,,2'"),
+    (_parse_int_list, "1,2,", "empty --opt field at position 2 of '1,2,'"),
+    (_parse_int_list, ",1", "empty --opt field at position 0"),
+    (_parse_int_list, "", "empty --opt field at position 0"),
+    (_parse_float_list, "1e9,,2e9", "empty --opt field at position 1"),
+])
+def test_cli_list_parsers_reject_malformed_lists(parse, text, match):
+    with pytest.raises(ValueError, match=match):
+        parse(text, "--opt")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--replicas", "1,,2"],
+    ["sweep", "--replicas", "1,2,"],
+    ["classify", "--systems", "vanilla,", "--requests", "50"],
+    ["classify", "--workload", "video:", "--requests", "50"],
+])
+def test_cli_rejects_empty_list_fields(argv, capsys):
+    with pytest.raises(SystemExit, match=r"empty (--\w+|workload) field at position"):
+        main(argv)

@@ -6,9 +6,10 @@ import pytest
 from repro.serving.cluster import (BALANCER_NAMES, ClusterPlatform,
                                    JoinShortestQueueBalancer,
                                    LeastWorkLeftBalancer,
-                                   PowerOfTwoChoicesBalancer, ReplicaHandle,
+                                   PowerOfTwoChoicesBalancer,
                                    RoundRobinBalancer, balancer_names,
                                    build_balancer)
+from repro.serving.fleet import FleetState, ReplicaProfile
 from repro.serving.platform import BatchResult, ServingPlatform
 from repro.serving.request import Request
 from repro.serving.tfserve import TFServingPlatform
@@ -62,7 +63,9 @@ def test_build_balancer_passes_instances_through():
 
 
 def _handles(platforms):
-    return [ReplicaHandle(i, p, p.new_state()) for i, p in enumerate(platforms)]
+    fleet = FleetState()
+    return [fleet.add(p, fixed_time_executor(), ReplicaProfile(), 0.0)
+            for p in platforms]
 
 
 def test_round_robin_cycles():
@@ -108,7 +111,8 @@ def test_least_work_left_uses_backlog_and_profile(resnet50_stack):
 
 def test_work_left_falls_back_to_queue_length_without_profile():
     platform = TFServingPlatform(max_batch_size=4)  # no profile
-    handle = ReplicaHandle(0, platform, platform.new_state())
+    handle = FleetState().add(platform, fixed_time_executor(),
+                              ReplicaProfile(), 0.0)
     for i in range(3):
         platform.admit(handle.state, make_request(i, 0.0))
     assert handle.work_left_ms(0.0) == pytest.approx(3.0)

@@ -96,6 +96,15 @@ def test_parse_faults_poisson_string():
     ("mtbf=500,mttr=200", "missing required keys"),
     ("mtbf=500,mttr=200,horizon=5000,rate=3", "unknown key 'rate'"),
     ("mtbf=,mttr=200,horizon=5000", "expected key=value"),
+    ("5000:2000;;9000:1", "empty fault clause at position 1 of "
+                          "'5000:2000;;9000:1'"),
+    ("5000:2000;", "empty fault clause at position 1"),
+    ("5000:2000:", "crash_ms:down_ms"),
+    ("mtbf=1,,mttr=1,horizon=10", "empty fault schedule field at position 1 "
+                                  "of 'mtbf=1,,mttr=1,horizon=10'"),
+    ("mtbf=1,mtbf=2,mttr=1,horizon=5", "duplicate key 'mtbf'"),
+    ("mtbf=0.01,mttr=1,horizon=100000",
+     "horizon_ms=100000 over mtbf_ms=0.01 expects more than 100000 crashes"),
 ])
 def test_parse_faults_rejects_bad_strings(text, match):
     with pytest.raises(ValueError, match=match):

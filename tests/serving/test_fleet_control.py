@@ -14,7 +14,7 @@ from repro.serving.autoscaler import (AUTOSCALER_NAMES, FixedAutoscaler,
 from repro.serving.cluster import (ClusterPlatform, LoadBalancer,
                                    ReplicaProfile,
                                    WeightedJoinShortestQueueBalancer)
-from repro.serving.fleet import DRAINING, RETIRED, FleetState, ReplicaHandle
+from repro.serving.fleet import DRAINING, RETIRED, FleetState
 from repro.serving.platform import BatchResult
 from repro.serving.request import Request
 from repro.serving.tfserve import TFServingPlatform
@@ -429,8 +429,9 @@ def test_weighted_round_robin_dispatches_proportional_to_speed():
 def test_weighted_jsq_normalizes_by_speed():
     fast = TFServingPlatform(max_batch_size=4)
     slow = TFServingPlatform(max_batch_size=4)
-    handles = [ReplicaHandle(0, fast, fast.new_state(), ReplicaProfile(speed=2.0)),
-               ReplicaHandle(1, slow, slow.new_state(), ReplicaProfile(speed=1.0))]
+    fleet = FleetState()
+    handles = [fleet.add(fast, fixed_time_executor(), ReplicaProfile(speed=2.0), 0.0),
+               fleet.add(slow, fixed_time_executor(), ReplicaProfile(speed=1.0), 0.0)]
     # 3 jobs on the 2x replica weigh 1.5; 2 jobs on the 1x replica weigh 2.
     for i in range(3):
         fast.admit(handles[0].state, make_request(i, 0.0))

@@ -169,7 +169,7 @@ def test_handle_exposes_decode_work_signals():
     entry = GenerativeReplicaEntry(replica_id=0, engine=engine,
                                    policy=VanillaTokenPolicy(),
                                    profile=ReplicaProfile(), mean_tokens=4.0)
-    handle = entry.handle
+    handle = entry
     assert handle.jobs_in_system(0.0) == 0
     assert handle.work_left_ms(0.0) == 0.0
     entry.queue.append(make_sequence(9, 0.0, tokens=4))
@@ -177,8 +177,8 @@ def test_handle_exposes_decode_work_signals():
     assert handle.jobs_in_system(0.0) == 2
     # 4 queued tokens x 18ms full step / 2 slots + 100ms backlog.
     assert handle.work_left_ms(0.0) == pytest.approx(100.0 + 4 * 18.0 / 2)
-    assert handle.platform.max_batch_size == 2
-    assert handle.platform.predicted_batch_time_ms(2) == pytest.approx(4 * 18.0)
+    assert handle.max_batch_size == 2
+    assert handle.predicted_batch_time_ms(2) == pytest.approx(4 * 18.0)
     assert metrics.total_tokens() == 12
 
 

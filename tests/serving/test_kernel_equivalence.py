@@ -357,19 +357,17 @@ def test_disagg_ttft_shedding_matches_seed():
 # --------------------------------------------------- autoscaler fix regressions
 
 class _FakeHandle:
-    """Minimal replica handle: fixed load signals + a profiled platform."""
+    """Minimal replica view: fixed load signals + a profiled capacity."""
 
-    class _Platform:
-        max_batch_size = 1
+    max_batch_size = 1
 
-        @staticmethod
-        def predicted_batch_time_ms(batch_size):
-            return 10.0  # 100 qps per replica
+    @staticmethod
+    def predicted_batch_time_ms(batch_size):
+        return 10.0  # 100 qps per replica
 
     class _Profile:
         speed = 1.0
 
-    platform = _Platform()
     profile = _Profile()
 
     def __init__(self, jobs=0.0, work_left=0.0):

@@ -111,6 +111,7 @@ def test_parse_tenants_full_clause():
     ("1,,2", "tenant name '1,,2'"),
     ("chat:weight=4,,slo=80", "empty field in 'weight=4,,slo=80'"),
     ("chat;;batch", "empty tenant clause at position 1"),
+    ("a:weight=1,weight=2", "tenant 'a': duplicate key 'weight'"),
 ])
 def test_parse_tenants_rejects_bad_strings(text, match):
     with pytest.raises(ValueError, match=match):
