@@ -70,7 +70,8 @@ class WorkloadSpec:
         (Poisson baseline plus one sudden sustained spike) and
         ``"trace:<path>"`` (replay a CSV of arrival timestamps in ms).  An
         explicit process the kind's workload factory does not know raises
-        :class:`ValueError`.
+        :class:`ValueError`, and so does any process on a video workload
+        (frames arrive at the fixed fps).
     overrides:
         Optional preset-parameter overrides forwarded to the workload factory.
     prefix_groups / prefix_share / prefix_tokens:
@@ -101,6 +102,11 @@ class WorkloadSpec:
             raise ValueError(f"requests must be >= 1, got {self.requests}")
         if self.rate is not None and self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
+        if self.arrival_process is not None and self.kind == "video":
+            # Video frames arrive at the fixed fps; the process would be
+            # silently ignored.
+            raise ValueError("arrival_process only applies to nlp and "
+                             "generative workloads, not kind='video'")
         if int(self.prefix_groups) < 0:
             raise ValueError(f"prefix_groups must be >= 0, "
                              f"got {self.prefix_groups}")
@@ -188,6 +194,8 @@ class WorkloadSpec:
             "requests": int(self.requests),
             "rate": self.resolved_rate(),
         }
+        if self.arrival_process is not None:
+            data["arrival_process"] = self.arrival_process
         if int(self.prefix_groups) > 0:
             data.update({
                 "prefix_groups": int(self.prefix_groups),

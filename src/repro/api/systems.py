@@ -3,9 +3,12 @@
 Each runner adapts one of the repo's serving implementations (Apparate,
 vanilla, and the paper's baselines) to the registry contract: take an
 :class:`~repro.api.experiment.Experiment`, dispatch on its kind
-(classification / cluster / generative / generative_cluster), and return a
-:class:`~repro.api.result.RunResult` in the shared schema.  The legacy
-``run_*`` entry points are thin shims over these registrations.
+(classification / cluster / generative / generative_cluster /
+generative_disagg), and return a :class:`~repro.api.result.RunResult` in
+the shared schema.  A single-replica kind runs the same fleet
+implementation as its cluster kind on a one-replica pool and reports that
+replica's own result.  The legacy ``run_*`` entry points are thin shims
+over these registrations.
 """
 
 from __future__ import annotations
@@ -18,23 +21,21 @@ from repro.api.registry import register_system
 from repro.api.result import (KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE,
                               KIND_GENERATIVE_CLUSTER, KIND_GENERATIVE_DISAGG,
                               RunResult)
+from repro.api.specs import ClusterSpec
 from repro.baselines.free import (_free_generative_cluster_impl,
-                                  _free_generative_disagg_impl,
-                                  _free_generative_impl)
+                                  _free_generative_disagg_impl)
 from repro.baselines.oracle import (_optimal_classification_impl,
                                     _optimal_generative_cluster_impl,
-                                    _optimal_generative_disagg_impl,
-                                    _optimal_generative_impl)
+                                    _optimal_generative_disagg_impl)
 from repro.baselines.static_ee import StaticEEVariant, _static_ee_impl
 from repro.baselines.two_layer import _two_layer_impl
-from repro.core.generative import (_generative_apparate_cluster_impl,
+from repro.core.generative import (GenerativeRunResult,
+                                   _generative_apparate_cluster_impl,
                                    _generative_apparate_disagg_impl,
-                                   _generative_apparate_impl,
                                    _generative_vanilla_cluster_impl,
-                                   _generative_vanilla_disagg_impl,
-                                   _generative_vanilla_impl)
-from repro.core.pipeline import (_apparate_cluster_impl, _apparate_impl,
-                                 _vanilla_cluster_impl, _vanilla_impl)
+                                   _generative_vanilla_disagg_impl)
+from repro.core.pipeline import (ApparateRunResult, _apparate_cluster_impl,
+                                 _vanilla_cluster_impl)
 from repro.obs import build_recorder
 
 __all__ = ["REGISTERED_SYSTEMS"]
@@ -45,6 +46,10 @@ REGISTERED_SYSTEMS = ("apparate", "free", "optimal", "static_ee", "two_layer",
 
 _CLASSIFY_BATCH = 16
 _GENERATIVE_BATCH = 8
+
+#: The pool a single-replica experiment (one without a ClusterSpec) serves
+#: on: one replica, every fleet knob at its default.
+_ONE_REPLICA = ClusterSpec(replicas=1)
 
 
 def _result(experiment, system: str, kind: str, summary: Dict[str, float],
@@ -62,16 +67,20 @@ def _recorder_for(experiment):
     """The live recorder for ``Experiment.trace``, or ``None`` when off.
 
     ``None`` (not :data:`~repro.obs.NULL_RECORDER`) keeps untraced runs on
-    the exact pre-observability code path: impls skip the ``engine.obs``
-    assignment entirely and the platforms keep their module-level null
-    recorder singleton.
+    the exact pre-observability code path: the runners fall back to their
+    module-level null recorder singleton.
     """
     recorder = build_recorder(experiment.trace)
     return recorder if recorder.enabled else None
 
 
+def _pool(experiment) -> ClusterSpec:
+    """The experiment's fleet, or the one-replica pool when it has none."""
+    return experiment.cluster if experiment.cluster is not None else _ONE_REPLICA
+
+
 def _cluster_kwargs(experiment) -> Dict[str, Any]:
-    cluster = experiment.cluster
+    cluster = _pool(experiment)
     return {
         "replicas": cluster.replicas,
         "balancer": cluster.balancer,
@@ -126,7 +135,7 @@ def _fleet_details(metrics) -> Dict[str, Any]:
 
 def _generative_cluster_kwargs(experiment) -> Dict[str, Any]:
     """ClusterSpec knobs threaded into every generative fleet system."""
-    cluster = experiment.cluster
+    cluster = _pool(experiment)
     return {
         "replicas": cluster.replicas,
         "balancer": cluster.balancer,
@@ -177,6 +186,17 @@ def _disagg_kwargs(experiment) -> Dict[str, Any]:
     }
 
 
+def _pool_result(experiment, system: str, metrics, trace) -> RunResult:
+    """Report a pool run whose raw outcome is its metrics: the fleet rollups
+    for a cluster experiment, the one replica's own metrics otherwise."""
+    if experiment.cluster is None:
+        single = metrics.aggregate()
+        return _result(experiment, system, experiment.kind, single.summary(),
+                       raw=single, trace=trace)
+    return _result(experiment, system, experiment.kind, metrics.summary(),
+                   raw=metrics, details=_fleet_details(metrics), trace=trace)
+
+
 def _disagg_details(metrics) -> Dict[str, Any]:
     """Fleet extras of a disaggregated run: both pools' dispatch counts,
     fleet-size timelines and replica-seconds."""
@@ -210,33 +230,15 @@ def _vanilla_system(experiment, **kw) -> RunResult:
         return _result(experiment, "vanilla", KIND_GENERATIVE_DISAGG,
                        metrics.summary(), raw=metrics,
                        details=_disagg_details(metrics), trace=obs)
-    if experiment.kind == KIND_GENERATIVE_CLUSTER:
+    if experiment.is_generative:
         metrics = _generative_vanilla_cluster_impl(
             experiment.spec, experiment.workload_obj(),
             **_generative_cluster_kwargs(experiment), obs=obs, **kw)
-        return _result(experiment, "vanilla", KIND_GENERATIVE_CLUSTER,
-                       metrics.summary(), raw=metrics,
-                       details=_fleet_details(metrics), trace=obs)
-    if experiment.kind == KIND_GENERATIVE:
-        metrics = _generative_vanilla_impl(
-            experiment.spec, experiment.workload_obj(),
-            max_batch_size=experiment.batch_size(_GENERATIVE_BATCH),
-            seed=experiment.seed, ttft_slo_ms=experiment.slo_ms, obs=obs, **kw)
-        return _result(experiment, "vanilla", KIND_GENERATIVE, metrics.summary(),
-                       raw=metrics, trace=obs)
-    if experiment.kind == KIND_CLUSTER:
+    else:
         metrics = _vanilla_cluster_impl(experiment.spec, experiment.workload_obj(),
                                         **_cluster_kwargs(experiment), obs=obs,
                                         **kw)
-        return _result(experiment, "vanilla", KIND_CLUSTER, metrics.summary(),
-                       raw=metrics, details=_fleet_details(metrics), trace=obs)
-    metrics = _vanilla_impl(experiment.spec, experiment.workload_obj(),
-                            platform=experiment.platform, slo_ms=experiment.slo_ms,
-                            max_batch_size=experiment.batch_size(_CLASSIFY_BATCH),
-                            seed=experiment.seed,
-                            drop_expired=experiment.drop_expired, obs=obs, **kw)
-    return _result(experiment, "vanilla", KIND_CLASSIFICATION, metrics.summary(),
-                   raw=metrics, trace=obs)
+    return _pool_result(experiment, "vanilla", metrics, obs)
 
 
 @register_system(
@@ -246,9 +248,9 @@ def _vanilla_system(experiment, **kw) -> RunResult:
     description="Apparate: adaptive early exits managed at runtime (the system)")
 def _apparate_system(experiment, **kw) -> RunResult:
     ee = experiment.ee
+    cluster = _pool(experiment)
     obs = _recorder_for(experiment)
     if experiment.kind == KIND_GENERATIVE_DISAGG:
-        cluster = experiment.cluster
         outcome = _generative_apparate_disagg_impl(
             experiment.spec, experiment.workload_obj(),
             fleet_mode=cluster.fleet_mode,
@@ -261,13 +263,21 @@ def _apparate_system(experiment, **kw) -> RunResult:
         details["threshold"] = summary.get("threshold", 0.0)
         return _result(experiment, "apparate", KIND_GENERATIVE_DISAGG,
                        summary, raw=outcome, details=details, trace=obs)
-    if experiment.kind == KIND_GENERATIVE_CLUSTER:
-        cluster = experiment.cluster
+    if experiment.is_generative:
         outcome = _generative_apparate_cluster_impl(
             experiment.spec, experiment.workload_obj(),
             fleet_mode=cluster.fleet_mode,
             accuracy_constraint=ee.accuracy_constraint,
             **_generative_cluster_kwargs(experiment), obs=obs, **kw)
+        if experiment.cluster is None:
+            policy = outcome.policies[0]
+            single = GenerativeRunResult(metrics=outcome.metrics.aggregate(),
+                                         policy=policy)
+            return _result(experiment, "apparate", KIND_GENERATIVE,
+                           single.summary(), raw=single,
+                           details={"ramp_depth": policy.ramp_depth,
+                                    "threshold": policy.threshold},
+                           trace=obs)
         summary = outcome.summary()
         details = _fleet_details(outcome.metrics)
         details["fleet_mode"] = cluster.fleet_mode
@@ -275,44 +285,27 @@ def _apparate_system(experiment, **kw) -> RunResult:
         details["threshold"] = summary.get("threshold", 0.0)
         return _result(experiment, "apparate", KIND_GENERATIVE_CLUSTER,
                        summary, raw=outcome, details=details, trace=obs)
-    if experiment.kind == KIND_GENERATIVE:
-        outcome = _generative_apparate_impl(
-            experiment.spec, experiment.workload_obj(),
-            accuracy_constraint=ee.accuracy_constraint,
-            max_batch_size=experiment.batch_size(_GENERATIVE_BATCH),
-            seed=experiment.seed, ttft_slo_ms=experiment.slo_ms, obs=obs, **kw)
-        return _result(experiment, "apparate", KIND_GENERATIVE, outcome.summary(),
-                       raw=outcome,
-                       details={"ramp_depth": outcome.policy.ramp_depth,
-                                "threshold": outcome.policy.threshold},
+    outcome = _apparate_cluster_impl(
+        experiment.spec, experiment.workload_obj(),
+        fleet_mode=cluster.fleet_mode, sync_period=cluster.sync_period,
+        accuracy_constraint=ee.accuracy_constraint,
+        ramp_budget=ee.ramp_budget, ramp_style=ee.ramp_style,
+        ramp_adjustment_enabled=ee.ramp_adjustment_enabled,
+        initial_ramp_ids=ee.initial_ramp_ids,
+        **_cluster_kwargs(experiment), obs=obs, **kw)
+    if experiment.cluster is None:
+        controller = outcome.fleet.primary()
+        single = ApparateRunResult(metrics=outcome.metrics.aggregate(),
+                                   controller=controller)
+        return _result(experiment, "apparate", KIND_CLASSIFICATION,
+                       single.summary(), raw=single,
+                       details={"final_config": controller.config.describe()},
                        trace=obs)
-    if experiment.kind == KIND_CLUSTER:
-        cluster = experiment.cluster
-        outcome = _apparate_cluster_impl(
-            experiment.spec, experiment.workload_obj(),
-            fleet_mode=cluster.fleet_mode, sync_period=cluster.sync_period,
-            accuracy_constraint=ee.accuracy_constraint,
-            ramp_budget=ee.ramp_budget, ramp_style=ee.ramp_style,
-            initial_ramp_ids=ee.initial_ramp_ids,
-            **_cluster_kwargs(experiment), obs=obs, **kw)
-        details = _fleet_details(outcome.metrics)
-        details["fleet_mode"] = cluster.fleet_mode
-        return _result(
-            experiment, "apparate", KIND_CLUSTER, outcome.summary(), raw=outcome,
-            details=details, trace=obs)
-    outcome = _apparate_impl(experiment.spec, experiment.workload_obj(),
-                             platform=experiment.platform, slo_ms=experiment.slo_ms,
-                             accuracy_constraint=ee.accuracy_constraint,
-                             ramp_budget=ee.ramp_budget, ramp_style=ee.ramp_style,
-                             max_batch_size=experiment.batch_size(_CLASSIFY_BATCH),
-                             seed=experiment.seed,
-                             drop_expired=experiment.drop_expired,
-                             ramp_adjustment_enabled=ee.ramp_adjustment_enabled,
-                             initial_ramp_ids=ee.initial_ramp_ids, obs=obs, **kw)
-    return _result(experiment, "apparate", KIND_CLASSIFICATION, outcome.summary(),
-                   raw=outcome,
-                   details={"final_config": outcome.controller.config.describe()},
-                   trace=obs)
+    details = _fleet_details(outcome.metrics)
+    details["fleet_mode"] = cluster.fleet_mode
+    return _result(
+        experiment, "apparate", KIND_CLUSTER, outcome.summary(), raw=outcome,
+        details=details, trace=obs)
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +366,11 @@ def _free_system(experiment, **kw) -> RunResult:
         return _result(experiment, "free", KIND_GENERATIVE_DISAGG,
                        metrics.summary(), raw=metrics,
                        details=_disagg_details(metrics), trace=obs)
-    if experiment.kind == KIND_GENERATIVE_CLUSTER:
-        metrics = _free_generative_cluster_impl(
-            experiment.spec, experiment.workload_obj(),
-            accuracy_constraint=experiment.ee.accuracy_constraint,
-            **_generative_cluster_kwargs(experiment), obs=obs, **kw)
-        return _result(experiment, "free", KIND_GENERATIVE_CLUSTER,
-                       metrics.summary(), raw=metrics,
-                       details=_fleet_details(metrics), trace=obs)
-    metrics = _free_generative_impl(
+    metrics = _free_generative_cluster_impl(
         experiment.spec, experiment.workload_obj(),
         accuracy_constraint=experiment.ee.accuracy_constraint,
-        max_batch_size=experiment.batch_size(_GENERATIVE_BATCH),
-        seed=experiment.seed, ttft_slo_ms=experiment.slo_ms, obs=obs, **kw)
-    return _result(experiment, "free", KIND_GENERATIVE, metrics.summary(),
-                   raw=metrics, trace=obs)
+        **_generative_cluster_kwargs(experiment), obs=obs, **kw)
+    return _pool_result(experiment, "free", metrics, obs)
 
 
 @register_system(
@@ -405,20 +388,11 @@ def _optimal_system(experiment, **kw) -> RunResult:
         return _result(experiment, "optimal", KIND_GENERATIVE_DISAGG,
                        metrics.summary(), raw=metrics,
                        details=_disagg_details(metrics), trace=obs)
-    if experiment.kind == KIND_GENERATIVE_CLUSTER:
+    if experiment.is_generative:
         metrics = _optimal_generative_cluster_impl(
             experiment.spec, experiment.workload_obj(),
             **_generative_cluster_kwargs(experiment), obs=obs, **kw)
-        return _result(experiment, "optimal", KIND_GENERATIVE_CLUSTER,
-                       metrics.summary(), raw=metrics,
-                       details=_fleet_details(metrics), trace=obs)
-    if experiment.kind == KIND_GENERATIVE:
-        metrics = _optimal_generative_impl(
-            experiment.spec, experiment.workload_obj(),
-            max_batch_size=experiment.batch_size(_GENERATIVE_BATCH),
-            seed=experiment.seed, ttft_slo_ms=experiment.slo_ms, obs=obs, **kw)
-        return _result(experiment, "optimal", KIND_GENERATIVE, metrics.summary(),
-                       raw=metrics, trace=obs)
+        return _pool_result(experiment, "optimal", metrics, obs)
     # Classification spans record the replayed vanilla timeline (the oracle
     # discounts its latencies analytically) — see _optimal_classification_impl.
     latencies = _optimal_classification_impl(

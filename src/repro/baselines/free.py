@@ -11,18 +11,17 @@ Apparate's adaptive ramp stays within it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.generative import generative_ramp_depths
 from repro.exits.ramps import RampStyle, ramp_overhead_fraction
-from repro.generative.decoding import DecodeTimingModel
 from repro.generative.parallel import TokenFeedback
 from repro.generative.sequences import GenerativeWorkload
 from repro.models.prediction import PredictionModel, ramp_error_score
 from repro.models.zoo import ModelSpec, get_model
-from repro.serving.hf_pipelines import ContinuousBatchingEngine, GenerativeMetrics, TokenDecision
+from repro.serving.hf_pipelines import GenerativeMetrics, TokenDecision
 
 __all__ = ["FreeTokenPolicy", "calibrate_free_policy", "run_free_generative"]
 
@@ -86,29 +85,6 @@ def calibrate_free_policy(prediction: PredictionModel, workload: GenerativeWorkl
     return best_depth, best_threshold
 
 
-def _free_generative_impl(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                          accuracy_constraint: float = 0.01, max_batch_size: int = 8,
-                          calibration_fraction: float = 0.03,
-                          seed: int = 0,
-                          ttft_slo_ms: Optional[float] = None,
-                          obs=None) -> GenerativeMetrics:
-    from repro.core.generative import _normalize_ttft_slo
-    spec = get_model(model) if isinstance(model, str) else model
-    prediction = PredictionModel(spec, seed=seed)
-    depths = generative_ramp_depths(spec, seed=seed)
-    depth, threshold = calibrate_free_policy(prediction, workload, depths,
-                                             accuracy_constraint=accuracy_constraint,
-                                             calibration_fraction=calibration_fraction)
-    policy = FreeTokenPolicy(prediction=prediction, ramp_depth=depth, threshold=threshold)
-    overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    timing = DecodeTimingModel(spec, ramp_overhead_fraction=overhead)
-    engine = ContinuousBatchingEngine(timing, max_batch_size=max_batch_size,
-                                      ttft_slo_ms=_normalize_ttft_slo(ttft_slo_ms))
-    if obs is not None:
-        engine.obs = obs
-    return engine.run(workload, policy)
-
-
 def _free_generative_cluster_impl(model: Union[str, ModelSpec],
                                   workload: GenerativeWorkload,
                                   replicas: int = 2, balancer="round_robin",
@@ -169,10 +145,10 @@ def _free_generative_disagg_impl(model: Union[str, ModelSpec],
     policy = _calibrated_free_policy(spec, workload, accuracy_constraint,
                                      calibration_fraction, seed)
     overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    platform = build_disaggregated_platform(spec, max_batch_size=max_batch_size,
-                                            ramp_overhead=overhead, seed=seed,
-                                            **pool_kwargs)
-    return platform.run(workload, lambda ordinal: policy)
+    pools = build_disaggregated_platform(spec, max_batch_size=max_batch_size,
+                                         ramp_overhead=overhead, seed=seed,
+                                         **pool_kwargs)
+    return pools.run(workload, lambda ordinal: policy)
 
 
 def run_free_generative(model: Union[str, ModelSpec], workload: GenerativeWorkload,

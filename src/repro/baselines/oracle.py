@@ -11,18 +11,16 @@ generating the remaining KV states (§4.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.pipeline import Workload, _vanilla_impl, model_stack
+from repro.core.pipeline import Workload, _vanilla_cluster_impl, model_stack
 from repro.generative.parallel import TokenFeedback
 from repro.generative.sequences import GenerativeWorkload
-from repro.generative.decoding import DecodeTimingModel
 from repro.models.prediction import PredictionModel
 from repro.models.zoo import ModelSpec, get_model
-from repro.serving.hf_pipelines import ContinuousBatchingEngine, GenerativeMetrics, TokenDecision
+from repro.serving.hf_pipelines import GenerativeMetrics, TokenDecision
 from repro.serving.metrics import ServingMetrics
 from repro.workloads.difficulty import DifficultyTrace
 
@@ -76,10 +74,11 @@ def _optimal_classification_impl(model: Union[str, ModelSpec], workload: Workloa
     # are the vanilla serving timeline (its latencies are then discounted
     # analytically and do not correspond to any simulated timeline).
     spec, _profile, prediction, catalog, _executor = model_stack(model, seed=seed)
-    vanilla = _vanilla_impl(spec, workload, platform=platform, slo_ms=slo_ms,
-                            max_batch_size=max_batch_size, seed=seed,
-                            drop_expired=drop_expired, obs=obs)
-    return optimal_latencies(vanilla, workload.trace, prediction,
+    vanilla = _vanilla_cluster_impl(spec, workload, replicas=1,
+                                    platform=platform, slo_ms=slo_ms,
+                                    max_batch_size=max_batch_size, seed=seed,
+                                    drop_expired=drop_expired, obs=obs)
+    return optimal_latencies(vanilla.aggregate(), workload.trace, prediction,
                              [r.depth_fraction for r in catalog.ramps])
 
 
@@ -122,21 +121,6 @@ def _oracle_token_policy(spec: ModelSpec, seed: int) -> "OracleTokenPolicy":
     return OracleTokenPolicy(prediction, [r.depth_fraction for r in catalog.ramps])
 
 
-def _optimal_generative_impl(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                             max_batch_size: int = 8, seed: int = 0,
-                             ttft_slo_ms: Optional[float] = None,
-                             obs=None) -> GenerativeMetrics:
-    from repro.core.generative import _normalize_ttft_slo
-    spec = get_model(model) if isinstance(model, str) else model
-    policy = _oracle_token_policy(spec, seed)
-    timing = DecodeTimingModel(spec, ramp_overhead_fraction=0.0)
-    engine = ContinuousBatchingEngine(timing, max_batch_size=max_batch_size,
-                                      ttft_slo_ms=_normalize_ttft_slo(ttft_slo_ms))
-    if obs is not None:
-        engine.obs = obs
-    return engine.run(workload, policy)
-
-
 def _optimal_generative_cluster_impl(model: Union[str, ModelSpec],
                                      workload: GenerativeWorkload,
                                      replicas: int = 2, balancer="round_robin",
@@ -174,10 +158,10 @@ def _optimal_generative_disagg_impl(model: Union[str, ModelSpec],
     from repro.core.generative import build_disaggregated_platform
     spec = get_model(model) if isinstance(model, str) else model
     policy = _oracle_token_policy(spec, seed)
-    platform = build_disaggregated_platform(spec, max_batch_size=max_batch_size,
-                                            ramp_overhead=0.0, seed=seed,
-                                            **pool_kwargs)
-    return platform.run(workload, lambda ordinal: policy)
+    pools = build_disaggregated_platform(spec, max_batch_size=max_batch_size,
+                                         ramp_overhead=0.0, seed=seed,
+                                         **pool_kwargs)
+    return pools.run(workload, lambda ordinal: policy)
 
 
 def run_optimal_generative(model: Union[str, ModelSpec], workload: GenerativeWorkload,

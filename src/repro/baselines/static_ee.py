@@ -23,13 +23,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.pipeline import Workload, build_platform, model_stack
-from repro.exits.config import EEConfig
+from repro.core.pipeline import Workload, build_cluster, model_stack
 from repro.exits.evaluation import evaluate_thresholds
 from repro.exits.ramps import RampStyle
 from repro.exits.thresholds import tune_thresholds_greedy
 from repro.models.prediction import PredictionModel, ramp_error_score
-from repro.models.zoo import ModelSpec, get_model
+from repro.models.zoo import ModelSpec
 from repro.serving.metrics import ServingMetrics
 from repro.serving.platform import BatchResult
 from repro.serving.request import Request, make_requests
@@ -154,11 +153,11 @@ def _static_ee_impl(model: Union[str, ModelSpec], workload: Workload,
                                              accuracy_constraint=accuracy_constraint)
 
     requests = make_requests(workload.trace, workload.arrival_times_ms, slo)
-    engine = build_platform(platform, profile, max_batch_size=max_batch_size,
-                            obs=obs)
+    cluster = build_cluster(platform, profile, 1,
+                            max_batch_size=max_batch_size, obs=obs)
     static_executor = _StaticEEExecutor(executor, ramp_ids, depths, thresholds,
                                         overhead_fractions)
-    metrics = engine.run(requests, static_executor)
+    metrics = cluster.run(requests, static_executor).aggregate()
     return StaticEEResult(metrics=metrics, thresholds=thresholds, ramp_depths=depths)
 
 

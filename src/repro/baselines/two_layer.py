@@ -14,14 +14,13 @@ model time, plus the base-model serving time for escalated inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.core.pipeline import Workload, _vanilla_impl, model_stack
+from repro.core.pipeline import Workload, _vanilla_cluster_impl, model_stack
 from repro.models.prediction import PredictionModel, ramp_error_score
-from repro.models.zoo import ModelSpec, Task, get_model
-from repro.serving.metrics import ServingMetrics
+from repro.models.zoo import ModelSpec, Task
 from repro.workloads.difficulty import DifficultyTrace
 
 __all__ = ["TwoLayerSystem", "TwoLayerResult", "run_two_layer"]
@@ -118,8 +117,10 @@ def _two_layer_impl(model: Union[str, ModelSpec], workload: Workload,
     # Like the oracle, the two-layer comparator replays the vanilla run's
     # schedule and discounts latencies analytically, so recorded spans show
     # the vanilla serving timeline.
-    vanilla = _vanilla_impl(spec, workload, platform=platform, slo_ms=slo_ms,
-                            max_batch_size=max_batch_size, seed=seed, obs=obs)
+    vanilla = _vanilla_cluster_impl(spec, workload, replicas=1,
+                                    platform=platform, slo_ms=slo_ms,
+                                    max_batch_size=max_batch_size, seed=seed,
+                                    obs=obs).aggregate()
 
     required = prediction.required_depths(workload.trace.raw_difficulty)
     sharpness = workload.trace.sharpness

@@ -22,11 +22,11 @@ from typing import Dict, List, Optional, Union
 
 from repro.core.controller import ApparateController
 from repro.core.pipeline import ApparateExecutor, ApparateRunResult, Workload, \
-    build_platform, model_stack
+    build_cluster, model_stack
 from repro.exits.placement import initial_ramp_selection
 from repro.exits.ramps import RampStyle
 from repro.exits.training import RampTrainer, RampTrainingReport
-from repro.models.zoo import ModelSpec, get_model
+from repro.models.zoo import ModelSpec
 from repro.serving.metrics import ServingMetrics
 from repro.serving.platform import VanillaExecutor
 from repro.serving.request import make_requests
@@ -70,9 +70,10 @@ class ApparateDeployment:
         _spec, profile, _prediction, _catalog, executor = self._stack
         controller = self.new_controller()
         requests = make_requests(workload.trace, workload.arrival_times_ms, self.slo_ms)
-        engine = build_platform(platform, profile, max_batch_size=max_batch_size,
+        cluster = build_cluster(platform, profile, 1, max_batch_size=max_batch_size,
                                 drop_expired=drop_expired)
-        metrics = engine.run(requests, ApparateExecutor(executor, controller))
+        metrics = cluster.run(requests,
+                              ApparateExecutor(executor, controller)).aggregate()
         return ApparateRunResult(metrics=metrics, controller=controller)
 
     def serve_vanilla(self, workload: Workload, platform: str = "clockwork",
@@ -80,9 +81,9 @@ class ApparateDeployment:
         """Serve the same workload with the original model (for comparison)."""
         _spec, profile, _prediction, _catalog, executor = self._stack
         requests = make_requests(workload.trace, workload.arrival_times_ms, self.slo_ms)
-        engine = build_platform(platform, profile, max_batch_size=max_batch_size,
+        cluster = build_cluster(platform, profile, 1, max_batch_size=max_batch_size,
                                 drop_expired=drop_expired)
-        return engine.run(requests, VanillaExecutor(executor))
+        return cluster.run(requests, VanillaExecutor(executor)).aggregate()
 
 
 class Apparate:

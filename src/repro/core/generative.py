@@ -19,7 +19,7 @@ instance (see :func:`repro.generative.parallel.truncate_feedback`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -36,7 +36,6 @@ from repro.serving.autoscaler import (Autoscaler, build_autoscaler,
                                       canonical_autoscaler_name)
 from repro.serving.cluster import LoadBalancer
 from repro.serving.disagg import DisaggregatedMetrics, DisaggregatedPlatform
-from repro.serving.fleet import ReplicaProfile
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeClusterPlatform,
                                               PolicyFactory)
@@ -228,43 +227,6 @@ class GenerativeClusterRunResult:
             data["ramp_depth"] = float(np.mean([p.ramp_depth for p in unique]))
             data["threshold"] = float(np.mean([p.threshold for p in unique]))
         return data
-
-
-# ---------------------------------------------------------------------------
-# Generative serving implementations (called through the system registry).
-# ---------------------------------------------------------------------------
-
-def _generative_vanilla_impl(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                             max_batch_size: int = 8, seed: int = 0,
-                             ttft_slo_ms: Optional[float] = None,
-                             obs=None) -> GenerativeMetrics:
-    spec = get_model(model) if isinstance(model, str) else model
-    timing = DecodeTimingModel(spec, ramp_overhead_fraction=0.0)
-    engine = ContinuousBatchingEngine(timing, max_batch_size=max_batch_size,
-                                      ttft_slo_ms=_normalize_ttft_slo(ttft_slo_ms))
-    if obs is not None:
-        engine.obs = obs
-    return engine.run(workload, VanillaTokenPolicy())
-
-
-def _generative_apparate_impl(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                              accuracy_constraint: float = 0.01, max_batch_size: int = 8,
-                              flush_limit: int = 8, seed: int = 0,
-                              ttft_slo_ms: Optional[float] = None,
-                              obs=None) -> GenerativeRunResult:
-    spec = get_model(model) if isinstance(model, str) else model
-    prediction = PredictionModel(spec, seed=seed)
-    depths = generative_ramp_depths(spec, seed=seed)
-    policy = ApparateTokenPolicy(prediction, depths, accuracy_constraint=accuracy_constraint)
-    overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    timing = DecodeTimingModel(spec, ramp_overhead_fraction=overhead)
-    engine = ContinuousBatchingEngine(timing, max_batch_size=max_batch_size,
-                                      flush_limit=flush_limit,
-                                      ttft_slo_ms=_normalize_ttft_slo(ttft_slo_ms))
-    if obs is not None:
-        engine.obs = obs
-    metrics = engine.run(workload, policy)
-    return GenerativeRunResult(metrics=metrics, policy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +467,11 @@ def _generative_vanilla_disagg_impl(model: Union[str, ModelSpec],
                                     workload: GenerativeWorkload,
                                     max_batch_size: int = 8, seed: int = 0,
                                     **pool_kwargs) -> DisaggregatedMetrics:
-    platform = build_disaggregated_platform(model, max_batch_size=max_batch_size,
-                                            ramp_overhead=0.0, seed=seed,
-                                            **pool_kwargs)
+    pools = build_disaggregated_platform(model, max_batch_size=max_batch_size,
+                                         ramp_overhead=0.0, seed=seed,
+                                         **pool_kwargs)
     policy = VanillaTokenPolicy()
-    return platform.run(workload, lambda ordinal: policy)
+    return pools.run(workload, lambda ordinal: policy)
 
 
 def _generative_apparate_disagg_impl(model: Union[str, ModelSpec],
@@ -529,10 +491,10 @@ def _generative_apparate_disagg_impl(model: Union[str, ModelSpec],
     prediction = PredictionModel(spec, seed=seed)
     depths = generative_ramp_depths(spec, seed=seed)
     overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    platform = build_disaggregated_platform(model, max_batch_size=max_batch_size,
-                                            flush_limit=flush_limit,
-                                            ramp_overhead=overhead, seed=seed,
-                                            **pool_kwargs)
+    pools = build_disaggregated_platform(model, max_batch_size=max_batch_size,
+                                         flush_limit=flush_limit,
+                                         ramp_overhead=overhead, seed=seed,
+                                         **pool_kwargs)
 
     policies: List[ApparateTokenPolicy] = []
     shared = ApparateTokenPolicy(prediction, depths,
@@ -545,7 +507,7 @@ def _generative_apparate_disagg_impl(model: Union[str, ModelSpec],
         policies.append(policy)
         return policy
 
-    metrics = platform.run(workload, policy_factory)
+    metrics = pools.run(workload, policy_factory)
     return GenerativeClusterRunResult(metrics=metrics, policies=policies,
                                       fleet_mode=fleet_mode)
 

@@ -17,10 +17,8 @@ functions that the registry runners call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro.core.controller import ApparateController, FleetController
 from repro.exits.placement import RampCatalog, build_ramp_catalog
@@ -137,8 +135,8 @@ def _graph_name(spec: ModelSpec) -> str:
 
 
 def build_platform(platform: str, profile: LatencyProfile, max_batch_size: int = 16,
-                   batch_timeout_ms: float = 5.0, drop_expired: bool = True,
-                   obs=None) -> ServingPlatform:
+                   batch_timeout_ms: float = 5.0,
+                   drop_expired: bool = True) -> ServingPlatform:
     """Construct a serving platform by name (``clockwork`` or ``tfserve``)."""
     platform = platform.lower()
     if platform == "clockwork":
@@ -151,8 +149,6 @@ def build_platform(platform: str, profile: LatencyProfile, max_batch_size: int =
                                    profile=profile)
     else:
         raise ValueError(f"unknown platform {platform!r}")
-    if obs is not None:
-        engine.obs = obs
     return engine
 
 
@@ -225,45 +221,6 @@ def _resolve_autoscaler(autoscaler: Union[str, Autoscaler, None],
     return build_autoscaler(key)
 
 
-def _vanilla_impl(model: Union[str, ModelSpec], workload: Workload,
-                  platform: str = "clockwork", slo_ms: Optional[float] = None,
-                  max_batch_size: int = 16, seed: int = 0,
-                  drop_expired: bool = True, obs=None) -> ServingMetrics:
-    spec, profile, _prediction, _catalog, executor = model_stack(model, seed=seed)
-    slo = slo_ms if slo_ms is not None else spec.default_slo_ms
-    requests = _workload_requests(workload, slo)
-    engine = build_platform(platform, profile, max_batch_size=max_batch_size,
-                            drop_expired=drop_expired, obs=obs)
-    return engine.run(requests, VanillaExecutor(executor))
-
-
-def _apparate_impl(model: Union[str, ModelSpec], workload: Workload,
-                   platform: str = "clockwork", slo_ms: Optional[float] = None,
-                   accuracy_constraint: float = 0.01, ramp_budget: float = 0.02,
-                   ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
-                   max_batch_size: int = 16, seed: int = 0,
-                   drop_expired: bool = True,
-                   ramp_adjustment_enabled: bool = True,
-                   initial_ramp_ids: Optional[Sequence[int]] = None,
-                   obs=None) -> ApparateRunResult:
-    spec, profile, _prediction, catalog, executor = model_stack(
-        model, seed=seed, ramp_budget=ramp_budget, ramp_style=ramp_style)
-    slo = slo_ms if slo_ms is not None else spec.default_slo_ms
-    requests = _workload_requests(workload, slo)
-
-    controller = ApparateController(spec, catalog, profile,
-                                    accuracy_constraint=accuracy_constraint,
-                                    initial_ramp_ids=initial_ramp_ids)
-    if not ramp_adjustment_enabled:
-        # Ablation switch (§4.5): keep the initial ramp set for the whole run.
-        controller.ramp_adjustment_period = 10 ** 9
-
-    engine = build_platform(platform, profile, max_batch_size=max_batch_size,
-                            drop_expired=drop_expired, obs=obs)
-    metrics = engine.run(requests, ApparateExecutor(executor, controller))
-    return ApparateRunResult(metrics=metrics, controller=controller)
-
-
 def _vanilla_cluster_impl(model: Union[str, ModelSpec], workload: Workload,
                           replicas: int = 2,
                           balancer: Union[str, LoadBalancer] = "round_robin",
@@ -299,6 +256,7 @@ def _apparate_cluster_impl(model: Union[str, ModelSpec], workload: Workload,
                            ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
                            max_batch_size: int = 16, seed: int = 0,
                            drop_expired: bool = True,
+                           ramp_adjustment_enabled: bool = True,
                            initial_ramp_ids: Optional[Sequence[int]] = None,
                            autoscaler: Union[str, Autoscaler, None] = "none",
                            min_replicas: Optional[int] = None,
@@ -311,10 +269,13 @@ def _apparate_cluster_impl(model: Union[str, ModelSpec], workload: Workload,
     slo = slo_ms if slo_ms is not None else spec.default_slo_ms
     requests = _workload_requests(workload, slo)
 
+    # Ablation switch (§4.5): keep the initial ramp set for the whole run.
+    frozen_ramps = {} if ramp_adjustment_enabled \
+        else {"ramp_adjustment_period": 10 ** 9}
     fleet = FleetController(spec, catalog, profile, replicas, mode=fleet_mode,
                             sync_period=sync_period,
                             accuracy_constraint=accuracy_constraint,
-                            initial_ramp_ids=initial_ramp_ids)
+                            initial_ramp_ids=initial_ramp_ids, **frozen_ramps)
     cluster = build_cluster(platform, profile, replicas, balancer=balancer,
                             max_batch_size=max_batch_size,
                             drop_expired=drop_expired, seed=seed,

@@ -7,8 +7,8 @@ simulators of those platforms with the same external behaviour:
 
 * :class:`ClockworkPlatform` — work-conserving, SLO-aware max-batch selection;
 * :class:`TFServingPlatform` — ``max_batch_size`` / ``batch_timeout`` knobs;
-* :class:`ContinuousBatchingEngine` — generative serving with continuous
-  batching (new sequences join as others finish);
+* :class:`ContinuousBatchingEngine` — one generative replica's continuous
+  batching cost model (decode slots, parallel-decoding stream timing);
 * :class:`ClusterPlatform` — a dynamic fleet of replica platforms behind a
   pluggable load balancer (round-robin, JSQ, least-work-left,
   power-of-two-choices, speed-weighted variants), interleaved on one global
@@ -29,7 +29,8 @@ simulators of those platforms with the same external behaviour:
 
 Platforms are agnostic to early exits: they hand formed batches to an executor
 callback and collect per-request result-release times, which is exactly the
-interface Apparate needs to sit on top.
+interface Apparate needs to sit on top.  Only the three fleet runners have a
+``run`` method; a single replica is served as a one-replica pool.
 """
 
 from repro.serving.request import Request, Response, make_requests

@@ -3,10 +3,13 @@
 These are verbatim copies of the three platform ``run()`` bodies as they
 stood before the port to :mod:`repro.serving.kernel` — the O(replicas)
 per-timestamp rescans ending in the shared "collect wake times, filter
-finite, ``now = min(future)``" tail.  They exist for exactly one purpose:
-the kernel equivalence suite (``tests/serving/test_kernel_equivalence.py``)
-runs every scenario through both schedulers and asserts **bit-identical**
-metrics, which is the contract the tentpole refactor promises.
+finite, ``now = min(future)``" tail — plus the two standalone
+single-replica loops (``ServingPlatform.run`` and
+``ContinuousBatchingEngine.run``) that served one replica before every run
+went through the kernel as a one-replica pool.  They exist for exactly one
+purpose: the kernel equivalence suite
+(``tests/serving/test_kernel_equivalence.py``) runs every scenario through
+both schedulers and asserts **bit-identical** metrics.
 
 They are driven through the public platform objects (and reuse their
 helper methods: executor resolution, scale-out spawn, salvage, collection),
@@ -24,17 +27,127 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.obs.recorder import NULL_RECORDER
 from repro.serving.cluster import ClusterPlatform, _scale_result
 from repro.serving.fleet import DRAINING, FleetState
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeClusterPlatform,
                                               GenerativeFleetState,
                                               PolicyFactory)
-from repro.serving.metrics import ClusterMetrics
-from repro.serving.platform import BatchExecutorFn
+from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
+                                        GenerativeMetrics, TokenExitPolicy)
+from repro.serving.metrics import ClusterMetrics, ServingMetrics
+from repro.serving.platform import BatchExecutorFn, ServingPlatform
 from repro.serving.request import Request
 
-__all__ = ["seed_cluster_run", "seed_generative_run", "seed_disagg_run"]
+__all__ = ["seed_single_run", "seed_engine_run", "seed_cluster_run",
+           "seed_generative_run", "seed_disagg_run"]
+
+
+def seed_single_run(platform: ServingPlatform, requests: Sequence[Request],
+                    executor: BatchExecutorFn) -> ServingMetrics:
+    """The standalone single-replica ``ServingPlatform.run`` loop, verbatim."""
+    self = platform
+    state = self.new_state()
+    pending = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
+    num_requests = len(pending)
+    if num_requests == 0:
+        return state.metrics
+
+    next_arrival = 0
+    now = pending[0].arrival_ms
+
+    while next_arrival < num_requests or state.queue:
+        # Admit everything that has arrived by now.
+        while next_arrival < num_requests and pending[next_arrival].arrival_ms <= now + 1e-9:
+            self.admit(state, pending[next_arrival])
+            next_arrival += 1
+
+        if not state.queue:
+            now = pending[next_arrival].arrival_ms
+            continue
+
+        self.expire(state, now)
+        if not state.queue:
+            continue
+
+        batch, wake_up = self.select(state, now)
+        if not batch:
+            # The policy wants to wait for more requests (or a timeout).
+            next_event = pending[next_arrival].arrival_ms if next_arrival < num_requests else np.inf
+            target = min(wake_up, next_event)
+            if not np.isfinite(target) or target <= now + 1e-9:
+                # Nothing left to wait for: force progress with what we have.
+                batch = self.force_batch(state)
+            else:
+                now = target
+                continue
+
+        self.dispatch(state, batch)
+        result = executor(batch, now)
+        self.complete(state, batch, result, now)
+        now += result.gpu_time_ms
+
+    first_arrival = pending[0].arrival_ms
+    state.metrics.makespan_ms = max(now - first_arrival, 1e-9)
+    return state.metrics
+
+
+def seed_engine_run(engine: ContinuousBatchingEngine, workload,
+                    policy: TokenExitPolicy,
+                    ttft_slo_ms: Optional[float] = None,
+                    obs=NULL_RECORDER) -> GenerativeMetrics:
+    """The standalone single-replica ``ContinuousBatchingEngine.run`` loop,
+    verbatim; the engine's former ``ttft_slo_ms`` and ``obs`` fields are
+    arguments here."""
+    self = engine
+    metrics = GenerativeMetrics()
+    queue = sorted(workload.sequences, key=lambda s: (s.arrival_ms, s.sequence_id))
+    if not queue:
+        return metrics
+
+    slot_free_ms = [queue[0].arrival_ms] * self.max_batch_size
+    first_arrival = queue[0].arrival_ms
+    last_completion = first_arrival
+
+    for sample in queue:
+        slot = int(np.argmin(slot_free_ms))
+        slot_start = max(sample.arrival_ms, slot_free_ms[slot])
+        start = slot_start
+        if self.prefill is not None:
+            busy = sum(1 for t in slot_free_ms if t > start + 1e-9)
+            start += self.prefill.inslot_prefill_ms(sample.prompt_tokens,
+                                                    busy)
+        if obs.enabled:
+            obs.admit(sample.sequence_id, sample.arrival_ms,
+                      kind="sequence", pool="serve", replica=0)
+        # Deadline admission runs on the time decode would start (in-slot
+        # prefill included), consistent with the TTFT the sequence would
+        # record — a sequence that provably cannot make its SLO is shed
+        # before any compute is spent on it.
+        if ttft_slo_ms is not None \
+                and start - sample.arrival_ms > ttft_slo_ms:
+            metrics.shed_sequence_ids.append(sample.sequence_id)
+            if obs.enabled:
+                obs.phase(sample.sequence_id, "queue",
+                          sample.arrival_ms, start)
+                obs.close(sample.sequence_id, start, outcome="shed")
+            continue
+        metrics.queueing_delays_ms[sample.sequence_id] = start - sample.arrival_ms
+        completion = self.decode_stream(sample, start, policy, metrics)
+        if obs.enabled:
+            obs.phase(sample.sequence_id, "queue",
+                      sample.arrival_ms, slot_start)
+            if start != slot_start:
+                obs.phase(sample.sequence_id, "prefill", slot_start, start)
+            obs.phase(sample.sequence_id, "decode", start, completion)
+            obs.close(sample.sequence_id, completion, outcome="served",
+                      tokens=sample.num_tokens)
+        slot_free_ms[slot] = completion
+        last_completion = max(last_completion, completion)
+
+    metrics.makespan_ms = max(last_completion - first_arrival, 1e-9)
+    return metrics
 
 
 def seed_cluster_run(cluster: ClusterPlatform, requests: Sequence[Request],

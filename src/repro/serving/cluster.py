@@ -397,9 +397,10 @@ def _scale_result(result: BatchResult, speed: float) -> BatchResult:
 class ClusterPlatform:
     """A dynamic fleet of replica platforms behind one load balancer.
 
-    The run loop mirrors the single-replica ``ServingPlatform.run`` semantics
-    per replica (including the forced-progress livelock guard) while advancing
-    a shared clock over mutable membership: the autoscaler may add replicas
+    The run loop steps every replica through its platform's phases
+    (including the forced-progress livelock guard) while advancing a shared
+    clock over mutable membership; a single replica is a one-replica
+    cluster.  The autoscaler may add replicas
     (online after its provisioning delay) or drain them (they finish in-flight
     work, then retire) at any step.
 
@@ -802,8 +803,8 @@ class _ClusterRun(SimPlatform):
         # can move to it.
         if self._drop_expired and active and (
                 len(active) > 1
-                or any(e.status == DRAINING and e.state.queue
-                       for e in pool.serving)):
+                or pool.draining and any(e.status == DRAINING and e.state.queue
+                                         for e in pool.serving)):
             moved = cluster._salvage_doomed(pool.serving, active, now,
                                             self.rerouted_ids)
             if moved:

@@ -13,8 +13,9 @@ clock:
 * each replica models the accelerator as ``max_batch_size`` concurrent decode
   slots; an admitted sequence waits in the replica's queue for a free slot and
   is then decoded as its own stream — per-token exits, deferred tails and
-  forced flushes follow §3.4 exactly (the stream decode is *shared code* with
-  the single-replica engine, so one replica reproduces it bit-for-bit);
+  forced flushes follow §3.4 exactly (the engine's stream decode); a
+  single replica is a one-replica pool, bit-for-bit equal to the standalone
+  engine loop kept as a spec in :mod:`repro.serving._seed_loops`;
 * the pluggable :class:`~repro.serving.cluster.LoadBalancer` policies operate
   unchanged, but are costed by outstanding **decode work** — queued tokens ×
   the replica's depth-scaled expected step time — rather than request count,
@@ -433,7 +434,7 @@ class GenerativeClusterPlatform:
     phase for phase — boot, admit/dispatch, autoscale, serve, retire, advance
     the shared clock — with the classification replica step replaced by slot
     claiming: a free decode slot claims the replica's queue head and runs the
-    stream decode shared with the single-replica engine.
+    engine's stream decode.
 
     Parameters
     ----------

@@ -11,6 +11,11 @@ policy object.  The same engine therefore serves the vanilla model (never
 exits), FREE (one fixed ramp and threshold), the optimal oracle, and Apparate
 (adaptive ramp + threshold with parallel decoding).
 
+The engine is the per-replica cost model only.  Slot claiming, TTFT
+shedding and tracing belong to the event kernel's
+:class:`~repro.serving.generative_cluster.GenerativeClusterPlatform`, which
+serves every deployment, a single replica included (as a one-replica pool).
+
 Timing of one stream follows §3.4 exactly:
 
 * a token that exits at a ramp of depth ``p`` releases after only the head
@@ -30,8 +35,7 @@ import numpy as np
 
 from repro.generative.decoding import DecodeTimingModel, PrefillModel, TokenRecord
 from repro.generative.parallel import ParallelDecodingState, TokenFeedback, truncate_feedback
-from repro.generative.sequences import GenerativeWorkload, SequenceSample
-from repro.obs.recorder import NULL_RECORDER
+from repro.generative.sequences import SequenceSample
 from repro.utils.stats import summarize_latencies
 
 __all__ = ["TokenDecision", "TokenExitPolicy", "VanillaTokenPolicy",
@@ -268,84 +272,20 @@ class ContinuousBatchingEngine:
     decode-only setup, and the configuration disaggregated decode replicas
     run (their prompts were prefilled in the dedicated pool).
 
-    ``ttft_slo_ms`` (optional) enables deadline shedding: a sequence whose
-    wait has already blown the time-to-first-token SLO when a slot frees up
-    is shed (no token decoded) and counted in
-    :attr:`GenerativeMetrics.shed_sequence_ids`.
+    The engine holds no run state and has no run loop: the generative
+    cluster runner claims its slots and calls :meth:`decode_stream` for
+    every replica of a pool, and a single replica is a one-replica pool.
     """
 
     def __init__(self, timing: DecodeTimingModel, max_batch_size: int = 8,
-                 flush_limit: int = 8, prefill: Optional[PrefillModel] = None,
-                 ttft_slo_ms: Optional[float] = None) -> None:
+                 flush_limit: int = 8,
+                 prefill: Optional[PrefillModel] = None) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if ttft_slo_ms is not None and ttft_slo_ms <= 0:
-            raise ValueError(f"ttft_slo_ms must be positive, got {ttft_slo_ms}")
         self.timing = timing
         self.max_batch_size = int(max_batch_size)
         self.flush_limit = int(flush_limit)
         self.prefill = prefill
-        self.ttft_slo_ms = None if ttft_slo_ms is None else float(ttft_slo_ms)
-        #: Observability recorder for single-replica ``run`` (cluster runners
-        #: record around their own slot logic instead).
-        self.obs = NULL_RECORDER
-
-    # ------------------------------------------------------------------ run
-    def run(self, workload: GenerativeWorkload, policy: TokenExitPolicy) -> GenerativeMetrics:
-        """Serve every sequence in ``workload`` under ``policy``.
-
-        Sequences are admitted in arrival order as decode slots free up
-        (continuous batching); each admitted sequence is decoded as its own
-        stream whose per-token timing follows the parallel-decoding rules.
-        """
-        metrics = GenerativeMetrics()
-        queue = sorted(workload.sequences, key=lambda s: (s.arrival_ms, s.sequence_id))
-        if not queue:
-            return metrics
-
-        slot_free_ms = [queue[0].arrival_ms] * self.max_batch_size
-        first_arrival = queue[0].arrival_ms
-        last_completion = first_arrival
-
-        obs = self.obs
-        for sample in queue:
-            slot = int(np.argmin(slot_free_ms))
-            slot_start = max(sample.arrival_ms, slot_free_ms[slot])
-            start = slot_start
-            if self.prefill is not None:
-                busy = sum(1 for t in slot_free_ms if t > start + 1e-9)
-                start += self.prefill.inslot_prefill_ms(sample.prompt_tokens,
-                                                        busy)
-            if obs.enabled:
-                obs.admit(sample.sequence_id, sample.arrival_ms,
-                          kind="sequence", pool="serve", replica=0)
-            # Deadline admission runs on the time decode would start (in-slot
-            # prefill included), consistent with the TTFT the sequence would
-            # record — a sequence that provably cannot make its SLO is shed
-            # before any compute is spent on it.
-            if self.ttft_slo_ms is not None \
-                    and start - sample.arrival_ms > self.ttft_slo_ms:
-                metrics.shed_sequence_ids.append(sample.sequence_id)
-                if obs.enabled:
-                    obs.phase(sample.sequence_id, "queue",
-                              sample.arrival_ms, start)
-                    obs.close(sample.sequence_id, start, outcome="shed")
-                continue
-            metrics.queueing_delays_ms[sample.sequence_id] = start - sample.arrival_ms
-            completion = self.decode_stream(sample, start, policy, metrics)
-            if obs.enabled:
-                obs.phase(sample.sequence_id, "queue",
-                          sample.arrival_ms, slot_start)
-                if start != slot_start:
-                    obs.phase(sample.sequence_id, "prefill", slot_start, start)
-                obs.phase(sample.sequence_id, "decode", start, completion)
-                obs.close(sample.sequence_id, completion, outcome="served",
-                          tokens=sample.num_tokens)
-            slot_free_ms[slot] = completion
-            last_completion = max(last_completion, completion)
-
-        metrics.makespan_ms = max(last_completion - first_arrival, 1e-9)
-        return metrics
 
     # --------------------------------------------------------------- streams
     def decode_stream(self, sample: SequenceSample, start_ms: float,
@@ -355,7 +295,7 @@ class ContinuousBatchingEngine:
 
         ``speed`` divides every step duration — a cluster replica with a 2×
         :class:`~repro.serving.fleet.ReplicaProfile` genuinely releases
-        tokens twice as fast.  The single-replica ``run`` uses base speed.
+        tokens twice as fast.
         """
         state = ParallelDecodingState(flush_limit=self.flush_limit)
         now = start_ms

@@ -170,14 +170,20 @@ def trace_arrivals(n: int,
     the path of a CSV/text file of them (any whitespace/comma separated
     layout ``numpy.loadtxt`` reads).  The trace must hold at least ``n``
     finite, non-negative timestamps; they are sorted before replay so
-    unordered recordings work.
+    unordered recordings work.  A path that is missing, unreadable or not
+    a text file raises :class:`ValueError` naming it.
     """
     if isinstance(timestamps_ms, (str, os.PathLike)):
         path = os.fspath(timestamps_ms)
         if not os.path.exists(path):
             raise ValueError(f"arrival trace file not found: {path!r}")
-        with open(path) as handle:
-            tokens = handle.read().replace(",", " ").split()
+        try:
+            with open(path) as handle:
+                tokens = handle.read().replace(",", " ").split()
+        except (OSError, UnicodeDecodeError) as exc:
+            # A directory, an unreadable file or binary bytes.
+            raise ValueError(f"cannot read arrival trace {path!r}: "
+                             f"{exc}") from None
         try:
             values = np.array([float(token) for token in tokens])
         except ValueError as exc:

@@ -335,6 +335,23 @@ def test_explicit_unknown_arrival_process_raises_per_kind():
     WorkloadSpec("nlp", requests=5).build()
 
 
+def test_video_workload_rejects_an_arrival_process():
+    """Video frames arrive at the fixed fps: a process there would be
+    silently ignored, so the spec refuses it."""
+    with pytest.raises(ValueError, match="arrival_process.*video"):
+        WorkloadSpec("video", requests=5, arrival_process="flash_crowd")
+
+
+def test_describe_reports_the_arrival_process_when_set():
+    base = WorkloadSpec("nlp", requests=5).describe()
+    assert "arrival_process" not in base
+    crowd = WorkloadSpec("nlp", requests=5,
+                         arrival_process="flash_crowd").describe()
+    assert crowd == {**base, "arrival_process": "flash_crowd"}
+    assert crowd != WorkloadSpec("nlp", requests=5,
+                                 arrival_process="maf").describe()
+
+
 def test_disagg_runs_every_generative_system():
     experiment = Experiment(
         model="t5-large", workload=WorkloadSpec("generative", requests=24),

@@ -1,15 +1,17 @@
 """Fuzz the user-facing scenario grammars (hypothesis).
 
 Every scenario string a user can type — fault schedules, tenant sets,
-replica profile lists, workload names and the CLI's comma-separated sweep
-lists — must either parse or raise a :class:`ValueError`, promptly: the
-hypothesis deadline turns a hang into a failure.  Strings derived from a
-valid one by injecting an empty field or repeating a key must raise, and
-the error must name the injected token.
+replica profile lists, workload names, arrival processes and the CLI's
+comma-separated sweep lists — must either parse or raise a
+:class:`ValueError`, promptly: the hypothesis deadline turns a hang into a
+failure.  Strings derived from a valid one by injecting an empty field or
+repeating a key must raise, and the error must name the injected token.
+Valid arrival specs survive a round trip through ``describe()``.
 """
 
 import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import WorkloadSpec
@@ -18,6 +20,7 @@ from repro.faults import parse_faults
 from repro.serving.fleet import ReplicaProfile
 from repro.tenancy import parse_tenants
 from repro.tenancy.spec import TENANT_PRIORITIES
+from repro.workloads.cache import trace_key
 
 PARSERS = {
     "faults": parse_faults,
@@ -185,3 +188,45 @@ def test_repeated_key_is_named(tenant, data):
                                   bad)
     key = repeated.partition("=")[0]
     assert f"duplicate key {key!r}" in message, (bad, message)
+
+
+# ------------------------------------------------------------ arrival specs
+
+_ARRIVAL_KINDS = ("nlp", "generative")
+_arrival_text = st.one_of(
+    _scenario_text,
+    st.lists(st.sampled_from(["trace", ":", "maf", "poisson", "diurnal",
+                              "flash", "_", "crowd"]),
+             max_size=6).map("".join),
+    # trace:<path> with paths that are missing, directories or odd files.
+    st.lists(st.sampled_from(["/", ".", "..", "tmp", "dev", "null", "x.csv"]),
+             max_size=4).map(lambda path: "trace:" + "".join(path)))
+
+
+@pytest.fixture(scope="module")
+def arrival_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("arrivals") / "arrivals.csv"
+    path.write_text(",".join(str(50.0 * i) for i in range(40)))
+    return f"trace:{path}"
+
+
+@FUZZ
+@given(kind=st.sampled_from(_ARRIVAL_KINDS), process=_arrival_text)
+def test_arrival_specs_materialize_or_raise_value_error(kind, process):
+    try:
+        WorkloadSpec(kind, requests=20, arrival_process=process).materialize()
+    except ValueError:
+        pass
+
+
+@FUZZ
+@given(kind=st.sampled_from(_ARRIVAL_KINDS), data=st.data())
+def test_valid_arrival_specs_round_trip_through_describe(arrival_csv, kind,
+                                                         data):
+    native = "maf" if kind == "nlp" else "diurnal"
+    process = data.draw(st.sampled_from(
+        [None, native, "poisson", "flash_crowd", arrival_csv]))
+    spec = WorkloadSpec(kind, requests=20, arrival_process=process,
+                        rate=data.draw(st.sampled_from([None, 5.0, 40.0])))
+    spec.materialize()
+    assert trace_key(WorkloadSpec(**spec.describe())) == trace_key(spec)

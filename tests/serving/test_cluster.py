@@ -144,19 +144,6 @@ def test_cluster_rejects_mismatched_executor_list():
         cluster.run(paced(4), [fixed_time_executor()] * 2)
 
 
-def test_single_replica_cluster_matches_standalone_run():
-    requests = paced(40, gap_ms=2.0)
-    alone = TFServingPlatform(max_batch_size=4, batch_timeout_ms=0.0).run(
-        requests, fixed_time_executor())
-    fleet = make_cluster(1, "round_robin").run(requests, fixed_time_executor())
-    agg = fleet.aggregate()
-    assert len(agg.served()) == len(alone.served())
-    assert sorted(r.latency_ms for r in agg.served()) == pytest.approx(
-        sorted(r.latency_ms for r in alone.served()))
-    assert agg.num_batches == alone.num_batches
-    assert fleet.makespan_ms == pytest.approx(alone.makespan_ms)
-
-
 @pytest.mark.parametrize("balancer",
                          sorted(balancer_names("classification")))
 def test_every_balancer_serves_every_request_once(balancer):

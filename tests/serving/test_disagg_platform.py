@@ -18,6 +18,7 @@ from repro.generative.decoding import DecodeTimingModel, PrefillModel
 from repro.generative.sequences import (GenerativeWorkload, SequenceSample,
                                         make_generative_workload)
 from repro.models.zoo import get_model
+from repro.serving._seed_loops import seed_engine_run
 from repro.serving.autoscaler import ReactiveAutoscaler
 from repro.serving.disagg import DisaggregatedMetrics, DisaggregatedPlatform
 from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
@@ -330,10 +331,11 @@ def test_deadline_shedding_in_monolithic_cluster_and_engine():
                                        ttft_slo_ms=4 * STEP_MS)
     cluster_metrics = cluster.run(workload, lambda o: VanillaTokenPolicy())
     engine = ContinuousBatchingEngine(DecodeTimingModel(SPEC),
-                                      max_batch_size=1,
-                                      ttft_slo_ms=4 * STEP_MS)
-    engine_metrics = engine.run(workload, VanillaTokenPolicy())
-    # The one-replica cluster sheds exactly the sequences the engine sheds.
+                                      max_batch_size=1)
+    engine_metrics = seed_engine_run(engine, workload, VanillaTokenPolicy(),
+                                     ttft_slo_ms=4 * STEP_MS)
+    # The one-replica cluster sheds exactly the sequences the standalone
+    # engine loop (kept as an executable spec) sheds.
     assert sorted(cluster_metrics.aggregate().shed_sequence_ids) == \
         sorted(engine_metrics.shed_sequence_ids)
     assert engine_metrics.num_shed() > 0

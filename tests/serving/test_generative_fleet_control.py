@@ -12,10 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.generative import (ApparateTokenPolicy,
                                    _resolve_generative_autoscaler,
                                    build_generative_cluster,
-                                   generative_ramp_depths,
-                                   run_generative_apparate,
-                                   run_generative_vanilla,
-                                   run_generative_vanilla_cluster)
+                                   generative_ramp_depths)
 from repro.generative.decoding import DecodeTimingModel
 from repro.generative.sequences import GenerativeWorkload, SequenceSample
 from repro.models.prediction import PredictionModel
@@ -103,34 +100,6 @@ def test_generative_autoscaler_resolution_scales_watermarks_to_slots():
     passthrough = ReactiveAutoscaler(scale_out_load=99.0)
     assert _resolve_generative_autoscaler(passthrough, 8) is passthrough
     assert _resolve_generative_autoscaler(None, 8) is None
-
-
-# ------------------------------------------- single-replica engine equivalence
-
-def test_single_replica_cluster_matches_the_engine(small_generative_workload):
-    """A one-replica generative cluster is the continuous-batching engine:
-    same token stream, same release cadence, same queueing delays."""
-    single = run_generative_vanilla(SPEC, small_generative_workload)
-    cluster = run_generative_vanilla_cluster(SPEC, small_generative_workload,
-                                             replicas=1)
-    merged = cluster.aggregate()
-    assert len(merged.tokens) == len(single.tokens)
-    assert merged.queueing_delays_ms == pytest.approx(single.queueing_delays_ms)
-    np.testing.assert_allclose(merged.tpt_values(), single.tpt_values())
-    assert merged.makespan_ms == pytest.approx(single.makespan_ms)
-
-
-def test_single_replica_cluster_matches_engine_under_apparate(
-        small_generative_workload):
-    single = run_generative_apparate(SPEC, small_generative_workload, seed=4)
-    from repro.core.generative import _generative_apparate_cluster_impl
-    outcome = _generative_apparate_cluster_impl(SPEC, small_generative_workload,
-                                                replicas=1, seed=4)
-    merged = outcome.metrics.aggregate()
-    assert len(merged.tokens) == len(single.metrics.tokens)
-    assert merged.exit_rate() == pytest.approx(single.metrics.exit_rate())
-    np.testing.assert_allclose(merged.tpt_values(),
-                               single.metrics.tpt_values())
 
 
 # ---------------------------------------------------------- work-aware costing

@@ -7,8 +7,9 @@ pre-kernel O(replicas)-per-timestamp rescan loops verbatim as executable
 specifications; these tests drive both implementations over the same
 scenarios — every balancer, heterogeneous profiles, both autoscalers with
 boot/drain churn, SLO drops with salvage rerouting, TTFT shedding — and
-require every recorded metric to match exactly.  When the two disagree, the
-kernel is wrong.
+require every recorded metric to match exactly.  The same holds for the two
+standalone single-replica loops, which a one-replica pool replaces.  When
+the two disagree, the kernel is wrong.
 
 Also here: regression tests for the autoscaler fixes that shipped with the
 kernel (predictive EWMA decay during arrival lulls, reactive cooldown not
@@ -16,25 +17,39 @@ burned on clamped no-op proposals at the replica band edge) and for
 scaled-out disaggregated replicas cycling the configured profile band.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.generative import (build_disaggregated_platform,
-                                   build_generative_cluster)
-from repro.generative.sequences import GenerativeWorkload, SequenceSample
+from repro.core.controller import ApparateController
+from repro.core.generative import (ApparateTokenPolicy,
+                                   build_disaggregated_platform,
+                                   build_generative_cluster,
+                                   generative_ramp_depths)
+from repro.core.pipeline import ApparateExecutor, build_platform, model_stack
+from repro.exits.ramps import RampStyle, ramp_overhead_fraction
+from repro.generative.decoding import DecodeTimingModel
+from repro.generative.sequences import (GenerativeWorkload, SequenceSample,
+                                        make_generative_workload)
+from repro.models.prediction import PredictionModel
 from repro.models.zoo import get_model
 from repro.serving._seed_loops import (seed_cluster_run, seed_disagg_run,
-                                       seed_generative_run)
+                                       seed_engine_run, seed_generative_run,
+                                       seed_single_run)
 from repro.serving.autoscaler import PredictiveAutoscaler, ReactiveAutoscaler
 from repro.serving.cluster import ClusterPlatform
 from repro.serving.disagg import PrefillFleetState
-from repro.serving.generative_cluster import GenerativeFleetState
-from repro.serving.hf_pipelines import VanillaTokenPolicy
-from repro.serving.platform import BatchResult
-from repro.serving.request import Request
+from repro.serving.generative_cluster import (GenerativeClusterPlatform,
+                                              GenerativeFleetState)
+from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
+                                        VanillaTokenPolicy)
+from repro.serving.platform import BatchResult, VanillaExecutor
+from repro.serving.request import Request, make_requests
 from repro.serving.tfserve import TFServingPlatform
 from repro.workloads.difficulty import InputSample
+from repro.workloads.nlp import make_nlp_workload
 
 SPEC = get_model("t5-large")
 FAST = settings(max_examples=10, deadline=None)
@@ -352,6 +367,87 @@ def test_disagg_ttft_shedding_matches_seed():
             "t5-large", prefill_replicas=1, decode_replicas=2,
             max_batch_size=2, prefill_batch=2, ttft_slo_ms=120.0),
         bursty_workload(seed=9, prompts=True))
+
+
+# ------------------------------------------------------------- single replica
+#
+# A single replica is a one-replica pool: the standalone loops that served
+# it before (``ServingPlatform.run``, ``ContinuousBatchingEngine.run``) are
+# kept as specs, and the kernel must reproduce their summaries exactly.
+
+@pytest.fixture(scope="module")
+def bert_stack():
+    return model_stack("bert-base", seed=0)
+
+
+def _stats_counters(controller):
+    # tuning_runtime_ms is host wall time, the one non-simulated field.
+    return dataclasses.replace(controller.stats, tuning_runtime_ms=0.0)
+
+
+@pytest.mark.parametrize("platform", ["clockwork", "tfserve"])
+@pytest.mark.parametrize("drop_expired", [True, False])
+@pytest.mark.parametrize("system", ["vanilla", "apparate"])
+def test_single_replica_matches_seed(bert_stack, platform, drop_expired,
+                                     system):
+    spec, profile, _prediction, catalog, executor = bert_stack
+    # 60 qps overloads one bert-base replica: both platforms drop when
+    # expiry is on, and queues grow without bound when it is off.
+    workload = make_nlp_workload("amazon", num_requests=600, rate_qps=60.0,
+                                 seed=7)
+    requests = make_requests(workload.trace, workload.arrival_times_ms,
+                             spec.default_slo_ms)
+
+    def serve(run):
+        controller = ApparateController(spec, catalog, profile)
+        batch_fn = ApparateExecutor(executor, controller) \
+            if system == "apparate" else VanillaExecutor(executor)
+        replica = build_platform(platform, profile, max_batch_size=16,
+                                 drop_expired=drop_expired)
+        return run(replica, requests, batch_fn), _stats_counters(controller)
+
+    alone, alone_stats = serve(seed_single_run)
+    pooled, pooled_stats = serve(
+        lambda replica, reqs, fn: ClusterPlatform([replica]).run(reqs, fn)
+        .aggregate())
+    assert pooled.summary() == alone.summary()
+    assert pooled.responses == alone.responses
+    assert pooled_stats == alone_stats
+    assert (len(alone.dropped()) > 0) == drop_expired
+
+
+@pytest.mark.parametrize("system", ["vanilla", "apparate"])
+def test_single_generative_matches_seed(system):
+    # 20 sequences/s on two decode slots blow a 100 ms TTFT SLO: both
+    # systems shed.
+    workload = make_generative_workload("squad", num_sequences=80,
+                                        rate_qps=20.0, seed=3)
+    overhead = ramp_overhead_fraction(SPEC, RampStyle.DECODE_HEAD) \
+        if system == "apparate" else 0.0
+    engine = ContinuousBatchingEngine(
+        DecodeTimingModel(SPEC, ramp_overhead_fraction=overhead),
+        max_batch_size=2)
+
+    def policy():
+        if system == "vanilla":
+            return VanillaTokenPolicy()
+        return ApparateTokenPolicy(PredictionModel(SPEC, seed=0),
+                                   generative_ramp_depths(SPEC, seed=0))
+
+    alone_policy, pooled_policy = policy(), policy()
+    alone = seed_engine_run(engine, workload, alone_policy, ttft_slo_ms=100.0)
+    pooled = GenerativeClusterPlatform([engine], ttft_slo_ms=100.0) \
+        .run(workload, lambda ordinal: pooled_policy).aggregate()
+    assert pooled.summary() == alone.summary()
+    assert pooled.tokens == alone.tokens
+    assert pooled.shed_sequence_ids == alone.shed_sequence_ids
+    assert alone.num_shed() > 0
+    if system == "apparate":
+        assert (pooled_policy.threshold, pooled_policy.ramp_depth,
+                pooled_policy.threshold_tunings,
+                pooled_policy.position_moves) == \
+            (alone_policy.threshold, alone_policy.ramp_depth,
+             alone_policy.threshold_tunings, alone_policy.position_moves)
 
 
 # --------------------------------------------------- autoscaler fix regressions

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.pipeline import model_stack
 from repro.serving.clockwork import ClockworkPlatform
+from repro.serving.cluster import ClusterPlatform
 from repro.serving.platform import BatchResult, VanillaExecutor
 from repro.serving.request import make_requests
 from repro.serving.tfserve import TFServingPlatform
@@ -16,6 +17,11 @@ from repro.workloads.video import make_video_workload
 @pytest.fixture(scope="module")
 def stack():
     return model_stack("resnet50", seed=0)
+
+
+def serve(platform, requests, executor):
+    """Serve ``requests`` on ``platform`` as a one-replica pool."""
+    return ClusterPlatform([platform]).run(requests, executor).aggregate()
 
 
 def burst_requests(stack, n=32, slo_ms=60.0):
@@ -34,7 +40,7 @@ def paced_requests(stack, n=64, rate_qps=30.0, slo_ms=32.8):
 def test_clockwork_selects_largest_slo_compliant_batch(stack):
     spec, profile, _pred, _cat, executor = stack
     platform = ClockworkPlatform(profile, max_batch_size=16, drop_expired=False)
-    metrics = platform.run(burst_requests(stack, n=32, slo_ms=1000.0), VanillaExecutor(executor))
+    metrics = serve(platform, burst_requests(stack, n=32, slo_ms=1000.0), VanillaExecutor(executor))
     # With a very loose SLO the first batch should be the full max size.
     assert metrics.average_batch_size() > 8
 
@@ -42,7 +48,7 @@ def test_clockwork_selects_largest_slo_compliant_batch(stack):
 def test_clockwork_small_batches_under_tight_slo(stack):
     spec, profile, _pred, _cat, executor = stack
     platform = ClockworkPlatform(profile, max_batch_size=16, drop_expired=False)
-    metrics = platform.run(burst_requests(stack, n=32, slo_ms=spec.bs1_latency_ms * 1.2),
+    metrics = serve(platform, burst_requests(stack, n=32, slo_ms=spec.bs1_latency_ms * 1.2),
                            VanillaExecutor(executor))
     assert metrics.average_batch_size() < 4
 
@@ -51,7 +57,7 @@ def test_clockwork_serves_every_request_without_drops(stack):
     spec, profile, _pred, _cat, executor = stack
     platform = ClockworkPlatform(profile, max_batch_size=16, drop_expired=False)
     requests = paced_requests(stack, n=64)
-    metrics = platform.run(requests, VanillaExecutor(executor))
+    metrics = serve(platform, requests, VanillaExecutor(executor))
     assert len(metrics.served()) == 64
     assert metrics.drop_rate() == 0.0
 
@@ -61,7 +67,7 @@ def test_clockwork_drops_expired_requests_under_overload(stack):
     platform = ClockworkPlatform(profile, max_batch_size=2, drop_expired=True)
     # Arrivals far above capacity with a tight SLO: some requests must expire.
     requests = paced_requests(stack, n=200, rate_qps=200.0, slo_ms=spec.default_slo_ms)
-    metrics = platform.run(requests, VanillaExecutor(executor))
+    metrics = serve(platform, requests, VanillaExecutor(executor))
     assert metrics.drop_rate() > 0.0
     assert len(metrics.responses) == 200
 
@@ -69,7 +75,7 @@ def test_clockwork_drops_expired_requests_under_overload(stack):
 def test_latencies_include_queueing(stack):
     spec, profile, _pred, _cat, executor = stack
     platform = ClockworkPlatform(profile, max_batch_size=4, drop_expired=False)
-    metrics = platform.run(burst_requests(stack, n=16, slo_ms=10_000.0),
+    metrics = serve(platform, burst_requests(stack, n=16, slo_ms=10_000.0),
                            VanillaExecutor(executor))
     latencies = sorted(r.latency_ms for r in metrics.served())
     # Later batches wait behind earlier ones, so latency spreads out.
@@ -79,7 +85,7 @@ def test_latencies_include_queueing(stack):
 def test_tfserve_full_batch_dispatch(stack):
     spec, profile, _pred, _cat, executor = stack
     platform = TFServingPlatform(max_batch_size=8, batch_timeout_ms=50.0)
-    metrics = platform.run(burst_requests(stack, n=16, slo_ms=10_000.0),
+    metrics = serve(platform, burst_requests(stack, n=16, slo_ms=10_000.0),
                            VanillaExecutor(executor))
     assert metrics.average_batch_size() == pytest.approx(8.0)
 
@@ -88,7 +94,7 @@ def test_tfserve_timeout_flushes_partial_batch(stack):
     spec, profile, _pred, _cat, executor = stack
     platform = TFServingPlatform(max_batch_size=64, batch_timeout_ms=5.0)
     requests = paced_requests(stack, n=20, rate_qps=30.0, slo_ms=1000.0)
-    metrics = platform.run(requests, VanillaExecutor(executor))
+    metrics = serve(platform, requests, VanillaExecutor(executor))
     assert len(metrics.served()) == 20
     assert metrics.average_batch_size() < 64
 
@@ -97,10 +103,10 @@ def test_tfserve_larger_max_batch_trades_latency_for_throughput(stack):
     """Figure 2: bigger batches help throughput but hurt per-request latency."""
     spec, profile, _pred, _cat, executor = stack
     requests = paced_requests(stack, n=300, rate_qps=120.0, slo_ms=10_000.0)
-    small = TFServingPlatform(max_batch_size=2, batch_timeout_ms=2.0).run(
-        requests, VanillaExecutor(executor))
-    large = TFServingPlatform(max_batch_size=16, batch_timeout_ms=2.0).run(
-        requests, VanillaExecutor(executor))
+    small = serve(TFServingPlatform(max_batch_size=2, batch_timeout_ms=2.0),
+                  requests, VanillaExecutor(executor))
+    large = serve(TFServingPlatform(max_batch_size=16, batch_timeout_ms=2.0),
+                  requests, VanillaExecutor(executor))
     assert large.average_batch_size() > small.average_batch_size()
     assert large.throughput_qps() >= small.throughput_qps() * 0.95
 
@@ -116,7 +122,7 @@ def test_invalid_parameters_rejected(stack):
 def test_empty_request_list(stack):
     _spec, profile, _pred, _cat, executor = stack
     platform = ClockworkPlatform(profile)
-    metrics = platform.run([], VanillaExecutor(executor))
+    metrics = serve(platform, [], VanillaExecutor(executor))
     assert len(metrics.responses) == 0
 
 
@@ -152,7 +158,7 @@ class LazyPlatform(ClockworkPlatform):
     """Policy that always asks to wait 'until now' despite a non-empty queue.
 
     The contract forbids this (empty batch with ``wake_up <= now``), so the
-    run loop's forced-progress guard must serve the queue anyway instead of
+    runner's forced-progress guard must serve the queue anyway instead of
     livelocking.
     """
 
@@ -172,7 +178,7 @@ def test_forced_progress_serves_stalling_policies(stack, platform_cls):
     _spec, profile, _pred, _cat, executor = stack
     platform = platform_cls(profile, max_batch_size=4, drop_expired=False)
     requests = paced_requests(stack, n=24, rate_qps=50.0, slo_ms=10_000.0)
-    metrics = platform.run(requests, VanillaExecutor(executor))
+    metrics = serve(platform, requests, VanillaExecutor(executor))
     assert len(metrics.served()) == 24
     assert metrics.drop_rate() == 0.0
     # Forced batches are capped at max_batch_size.
@@ -182,7 +188,7 @@ def test_forced_progress_serves_stalling_policies(stack, platform_cls):
 def test_forced_progress_on_burst_with_infinite_wait(stack):
     _spec, profile, _pred, _cat, executor = stack
     platform = SleepyPlatform(profile, max_batch_size=8, drop_expired=False)
-    metrics = platform.run(burst_requests(stack, n=20, slo_ms=10_000.0),
+    metrics = serve(platform, burst_requests(stack, n=20, slo_ms=10_000.0),
                            VanillaExecutor(executor))
     assert len(metrics.served()) == 20
 
@@ -191,7 +197,7 @@ def test_drop_expired_counts_each_request_exactly_once(stack):
     spec, profile, _pred, _cat, executor = stack
     platform = ClockworkPlatform(profile, max_batch_size=2, drop_expired=True)
     requests = paced_requests(stack, n=150, rate_qps=300.0, slo_ms=spec.default_slo_ms)
-    metrics = platform.run(requests, VanillaExecutor(executor))
+    metrics = serve(platform, requests, VanillaExecutor(executor))
     # Overloaded: some requests expire, but every request is answered exactly
     # once and a dropped request is never also served.
     assert metrics.drop_rate() > 0.0

@@ -1,5 +1,7 @@
 """Tests for arrival processes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,21 @@ def test_trace_replay_validation(tmp_path):
         trace_arrivals(2, [-5.0, 1.0])
     with pytest.raises(ValueError, match="not found"):
         trace_arrivals(2, str(tmp_path / "missing.csv"))
+
+
+def test_trace_replay_unreadable_path_raises_value_error(tmp_path):
+    from repro.workloads.nlp import make_nlp_workload
+
+    # A directory exists but is no trace file.
+    with pytest.raises(ValueError, match=re.escape(repr(str(tmp_path)))):
+        trace_arrivals(2, str(tmp_path))
+    with pytest.raises(ValueError, match=re.escape(repr(str(tmp_path)))):
+        make_nlp_workload(num_requests=10,
+                          arrival_process=f"trace:{tmp_path}")
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfe\x00\x81")
+    with pytest.raises(ValueError, match="binary.csv"):
+        trace_arrivals(2, str(binary))
 
 
 def test_workload_factories_accept_new_processes(tmp_path):
