@@ -79,8 +79,8 @@ def test_reactive_autoscaler_matches_peak_fleet_slo_at_lower_cost(
         rows.append({
             "fleet": name,
             "slo_attainment": attainment(metrics),
-            "replica_seconds": metrics.replica_seconds,
-            "peak_replicas": metrics.peak_replicas(),
+            "replica_seconds": metrics.pool.replica_seconds,
+            "peak_replicas": metrics.pool.peak_replicas(),
             "p99_ms": metrics.aggregate().p99_latency(),
         })
     print_table(f"Diurnal {LOW_QPS:.0f}->{HIGH_QPS:.0f} qps, SLO {SLO_MS:.0f} ms",
@@ -91,14 +91,14 @@ def test_reactive_autoscaler_matches_peak_fleet_slo_at_lower_cost(
         assert len(metrics.aggregate().responses) == NUM_FRAMES
 
     # The elastic fleet actually flexed across the cycle.
-    assert reactive.peak_replicas() == MAX_REPLICAS
-    sizes = [n for _, n in reactive.fleet_timeline]
+    assert reactive.pool.peak_replicas() == MAX_REPLICAS
+    sizes = [n for _, n in reactive.pool.timeline]
     assert min(sizes) == MIN_REPLICAS and len(set(sizes)) > 1
 
     # Acceptance: SLO attainment within 2% of the fixed-at-peak fleet...
     assert attainment(reactive) >= attainment(fixed_peak) - 0.02
     # ...at measurably fewer replica-seconds (>10% savings in practice ~23%).
-    assert reactive.replica_seconds < 0.9 * fixed_peak.replica_seconds
+    assert reactive.pool.replica_seconds < 0.9 * fixed_peak.pool.replica_seconds
 
     # Context row: the cost-planned fixed fleet is cheaper still but melts —
     # Clockwork's batch-of-one degradation under late queues is catastrophic.
@@ -110,4 +110,4 @@ def test_replica_seconds_accounting_is_consistent(diurnal_workload):
     metrics = _run_fleet(diurnal_workload, ClusterSpec(
         replicas=MIN_REPLICAS, balancer="least_work_left"))
     expected = MIN_REPLICAS * metrics.makespan_ms / 1000.0
-    assert metrics.replica_seconds == pytest.approx(expected, rel=1e-6)
+    assert metrics.pool.replica_seconds == pytest.approx(expected, rel=1e-6)

@@ -107,7 +107,7 @@ def test_observability_overhead():
 
     # Tracing must never change the answer.
     assert on_metrics.makespan_ms == off_metrics.makespan_ms
-    assert on_metrics.dispatch_counts == off_metrics.dispatch_counts
+    assert on_metrics.pool.dispatch_counts == off_metrics.pool.dispatch_counts
     assert on_metrics.aggregate().summary() == off_metrics.aggregate().summary()
 
     # ... and must account for every request exactly once.

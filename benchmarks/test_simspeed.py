@@ -108,7 +108,7 @@ def test_kernel_simulation_speed():
     # Keep only the comparison fields so the seed run's per-request metrics
     # can be freed before the kernel run is timed.
     seed_makespan_ms = seed_metrics.makespan_ms
-    seed_dispatch_counts = seed_metrics.dispatch_counts
+    seed_dispatch_counts = seed_metrics.pool.dispatch_counts
     del seed_metrics
     gc.collect()
     gc.freeze()
@@ -118,7 +118,7 @@ def test_kernel_simulation_speed():
     kernel_wall_s = time.perf_counter() - t0
 
     assert kernel_metrics.makespan_ms == seed_makespan_ms
-    assert kernel_metrics.dispatch_counts == seed_dispatch_counts
+    assert kernel_metrics.pool.dispatch_counts == seed_dispatch_counts
 
     seed_rps = n / seed_wall_s
     kernel_rps = n / kernel_wall_s

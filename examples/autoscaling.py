@@ -48,7 +48,7 @@ def run_fleet(workload: VideoWorkload, cluster: ClusterSpec):
 
 def render_timeline(metrics, width: int = 64) -> str:
     """ASCII strip chart of the fleet size over the run."""
-    timeline = metrics.fleet_timeline
+    timeline = metrics.pool.timeline
     end_ms = max(metrics.makespan_ms, 1e-9)
     sizes = []
     for column in range(width):
@@ -81,7 +81,7 @@ def main() -> None:
     print("fleet size over time (reactive autoscaler, 2..6 replicas):")
     print(render_timeline(elastic))
 
-    sizes = [n for _, n in elastic.fleet_timeline]
+    sizes = [n for _, n in elastic.pool.timeline]
     trajectory = [sizes[0]] + [n for prev, n in zip(sizes, sizes[1:]) if n != prev]
     print("\ntrajectory: " + " -> ".join(str(n) for n in trajectory))
 
@@ -90,10 +90,10 @@ def main() -> None:
     for name, metrics in (("reactive 2..6", elastic),
                           (f"fixed@{MAX_REPLICAS}", fixed)):
         attainment = 1.0 - metrics.aggregate().slo_violation_rate(SLO_MS)
-        print(f"{name:<16s} {attainment:15.1%} {metrics.replica_seconds:16.1f} "
+        print(f"{name:<16s} {attainment:15.1%} {metrics.pool.replica_seconds:16.1f} "
               f"{metrics.aggregate().p99_latency():8.1f}")
 
-    saved = 1.0 - elastic.replica_seconds / fixed.replica_seconds
+    saved = 1.0 - elastic.pool.replica_seconds / fixed.pool.replica_seconds
     print(f"\nthe elastic fleet matched the fixed fleet's SLO story while "
           f"spending {saved:.0%} fewer replica-seconds")
 

@@ -53,6 +53,17 @@ _TOP_KEYS = ("platform", "seed", "slo_ms", "max_batch_size", "drop_expired")
 _SWEEP_KEYS = _CLUSTER_KEYS + _EE_KEYS + _WORKLOAD_KEYS + _TOP_KEYS
 
 
+def resolve_model(model: Union[str, ModelSpec]) -> ModelSpec:
+    """The registered spec ``model`` names (a spec passes through); an
+    unknown name raises :class:`ValueError` naming it."""
+    if not isinstance(model, str):
+        return model
+    try:
+        return get_model(model)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+
+
 @dataclass
 class Experiment:
     """A declarative serving experiment over the system registry.
@@ -101,10 +112,13 @@ class Experiment:
 
     _workload_cache: Any = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        resolve_model(self.model)
+
     # ------------------------------------------------------------ properties
     @property
     def spec(self) -> ModelSpec:
-        return get_model(self.model) if isinstance(self.model, str) else self.model
+        return resolve_model(self.model)
 
     @property
     def is_generative(self) -> bool:

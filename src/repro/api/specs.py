@@ -100,8 +100,10 @@ class WorkloadSpec:
                              f"choose from {WORKLOAD_KINDS}")
         if int(self.requests) < 1:
             raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if self.rate is not None and not (math.isfinite(self.rate)
+                                          and self.rate > 0):
+            raise ValueError(f"rate must be positive and finite, "
+                             f"got {self.rate}")
         if self.arrival_process is not None and self.kind == "video":
             # Video frames arrive at the fixed fps; the process would be
             # silently ignored.
@@ -546,8 +548,16 @@ class ExitPolicySpec:
         if not 0.0 <= float(self.accuracy_constraint) < 1.0:
             raise ValueError("accuracy_constraint must be in [0, 1), "
                              f"got {self.accuracy_constraint}")
-        if float(self.ramp_budget) <= 0.0:
-            raise ValueError(f"ramp_budget must be positive, got {self.ramp_budget}")
+        budget = float(self.ramp_budget)
+        if not (math.isfinite(budget) and budget > 0.0):
+            raise ValueError(f"ramp_budget must be positive and finite, "
+                             f"got {self.ramp_budget}")
+        try:
+            style = RampStyle(self.ramp_style)
+        except ValueError:
+            raise ValueError(f"unknown ramp_style {self.ramp_style!r}; choose "
+                             f"from {[s.value for s in RampStyle]}") from None
+        object.__setattr__(self, "ramp_style", style)
         if self.initial_ramp_ids is not None:
             object.__setattr__(self, "initial_ramp_ids",
                                tuple(int(r) for r in self.initial_ramp_ids))
@@ -556,8 +566,7 @@ class ExitPolicySpec:
         return {
             "accuracy_constraint": float(self.accuracy_constraint),
             "ramp_budget": float(self.ramp_budget),
-            "ramp_style": self.ramp_style.value
-            if isinstance(self.ramp_style, RampStyle) else str(self.ramp_style),
+            "ramp_style": self.ramp_style.value,
             "initial_ramp_ids": None if self.initial_ramp_ids is None
             else list(self.initial_ramp_ids),
             "ramp_adjustment_enabled": bool(self.ramp_adjustment_enabled),

@@ -37,6 +37,9 @@ from repro.core.generative import (GenerativeRunResult,
 from repro.core.pipeline import (ApparateRunResult, _apparate_cluster_impl,
                                  _vanilla_cluster_impl)
 from repro.obs import build_recorder
+from repro.serving.disagg import DisaggregatedMetrics
+from repro.serving.generative_cluster import GenerativeClusterMetrics
+from repro.serving.metrics import ClusterMetrics, FleetMetrics
 
 __all__ = ["REGISTERED_SYSTEMS"]
 
@@ -98,38 +101,46 @@ def _cluster_kwargs(experiment) -> Dict[str, Any]:
     }
 
 
-def _fleet_details(metrics) -> Dict[str, Any]:
+def _fleet_details(metrics: FleetMetrics) -> Dict[str, Any]:
     """Cluster extras every fleet system reports: dispatch balance plus the
-    autoscaling fleet-size timeline and replica-seconds consumed."""
+    autoscaling fleet-size timeline and replica-seconds consumed of each
+    pool (the decode pool first in a disaggregated run)."""
+    pool = metrics.pool
     details = {
-        "dispatch_counts": list(metrics.dispatch_counts),
-        "fleet_timeline": [[float(t), int(n)] for t, n in metrics.fleet_timeline],
-        "replica_seconds": float(metrics.replica_seconds),
+        "dispatch_counts": list(pool.dispatch_counts),
+        "fleet_timeline": [[float(t), int(n)] for t, n in pool.timeline],
+        "replica_seconds": float(pool.replica_seconds),
     }
-    if hasattr(metrics, "rerouted"):
+    if isinstance(metrics, ClusterMetrics):
         details["rerouted"] = int(metrics.rerouted)
-    if getattr(metrics, "crashes", 0) or getattr(metrics, "recoveries", 0):
+    if metrics.crashes or metrics.recoveries:
         details["crashes"] = int(metrics.crashes)
         details["recoveries"] = int(metrics.recoveries)
         details["requeued"] = int(metrics.requeued)
-    rollups = getattr(metrics, "tenant_rollups", None)
-    if rollups:
-        details["tenant_rollups"] = {tenant: dict(stats)
-                                     for tenant, stats in rollups.items()}
-    kernel = getattr(metrics, "kernel_stats", None)
-    if kernel:
-        details["kernel"] = dict(kernel)
-    if hasattr(metrics, "aggregate"):
-        aggregate = metrics.aggregate()
-        if getattr(aggregate, "kv_enabled", False):
-            details["kv_cache"] = {
-                "hit_rate": aggregate.kv_hit_rate(),
-                "hit_tokens": int(aggregate.kv_hit_tokens),
-                "miss_tokens": int(aggregate.kv_miss_tokens),
-                "evictions": int(aggregate.kv_evictions),
-                "evicted_tokens": int(aggregate.kv_evicted_tokens),
-                "recompute_tokens": int(aggregate.kv_recompute_tokens),
-            }
+    if metrics.tenant_rollups:
+        details["tenant_rollups"] = {tenant: dict(stats) for tenant, stats
+                                     in metrics.tenant_rollups.items()}
+    if metrics.kernel_stats:
+        details["kernel"] = dict(metrics.kernel_stats)
+    aggregate = metrics.aggregate()
+    if isinstance(metrics, GenerativeClusterMetrics) and aggregate.kv_enabled:
+        details["kv_cache"] = {
+            "hit_rate": aggregate.kv_hit_rate(),
+            "hit_tokens": int(aggregate.kv_hit_tokens),
+            "miss_tokens": int(aggregate.kv_miss_tokens),
+            "evictions": int(aggregate.kv_evictions),
+            "evicted_tokens": int(aggregate.kv_evicted_tokens),
+            "recompute_tokens": int(aggregate.kv_recompute_tokens),
+        }
+    if isinstance(metrics, DisaggregatedMetrics):
+        prefill = metrics.prefill
+        details.update({
+            "prefill_dispatch_counts": list(prefill.dispatch_counts),
+            "prefill_token_counts": list(metrics.prefill_token_counts),
+            "prefill_fleet_timeline": [[float(t), int(n)]
+                                       for t, n in prefill.timeline],
+            "prefill_replica_seconds": float(prefill.replica_seconds),
+        })
     return details
 
 
@@ -197,20 +208,6 @@ def _pool_result(experiment, system: str, metrics, trace) -> RunResult:
                    raw=metrics, details=_fleet_details(metrics), trace=trace)
 
 
-def _disagg_details(metrics) -> Dict[str, Any]:
-    """Fleet extras of a disaggregated run: both pools' dispatch counts,
-    fleet-size timelines and replica-seconds."""
-    details = _fleet_details(metrics)
-    details.update({
-        "prefill_dispatch_counts": list(metrics.prefill_dispatch_counts),
-        "prefill_token_counts": list(metrics.prefill_token_counts),
-        "prefill_fleet_timeline": [[float(t), int(n)]
-                                   for t, n in metrics.prefill_fleet_timeline],
-        "prefill_replica_seconds": float(metrics.prefill_replica_seconds),
-    })
-    return details
-
-
 # ---------------------------------------------------------------------------
 # Core systems.
 # ---------------------------------------------------------------------------
@@ -227,10 +224,7 @@ def _vanilla_system(experiment, **kw) -> RunResult:
         metrics = _generative_vanilla_disagg_impl(
             experiment.spec, experiment.workload_obj(),
             **_disagg_kwargs(experiment), obs=obs, **kw)
-        return _result(experiment, "vanilla", KIND_GENERATIVE_DISAGG,
-                       metrics.summary(), raw=metrics,
-                       details=_disagg_details(metrics), trace=obs)
-    if experiment.is_generative:
+    elif experiment.is_generative:
         metrics = _generative_vanilla_cluster_impl(
             experiment.spec, experiment.workload_obj(),
             **_generative_cluster_kwargs(experiment), obs=obs, **kw)
@@ -250,25 +244,17 @@ def _apparate_system(experiment, **kw) -> RunResult:
     ee = experiment.ee
     cluster = _pool(experiment)
     obs = _recorder_for(experiment)
-    if experiment.kind == KIND_GENERATIVE_DISAGG:
-        outcome = _generative_apparate_disagg_impl(
-            experiment.spec, experiment.workload_obj(),
-            fleet_mode=cluster.fleet_mode,
-            accuracy_constraint=ee.accuracy_constraint,
-            **_disagg_kwargs(experiment), obs=obs, **kw)
-        summary = outcome.summary()
-        details = _disagg_details(outcome.metrics)
-        details["fleet_mode"] = cluster.fleet_mode
-        details["ramp_depth"] = summary.get("ramp_depth", 0.0)
-        details["threshold"] = summary.get("threshold", 0.0)
-        return _result(experiment, "apparate", KIND_GENERATIVE_DISAGG,
-                       summary, raw=outcome, details=details, trace=obs)
     if experiment.is_generative:
-        outcome = _generative_apparate_cluster_impl(
-            experiment.spec, experiment.workload_obj(),
-            fleet_mode=cluster.fleet_mode,
-            accuracy_constraint=ee.accuracy_constraint,
-            **_generative_cluster_kwargs(experiment), obs=obs, **kw)
+        if experiment.kind == KIND_GENERATIVE_DISAGG:
+            impl, pool_kwargs = (_generative_apparate_disagg_impl,
+                                 _disagg_kwargs(experiment))
+        else:
+            impl, pool_kwargs = (_generative_apparate_cluster_impl,
+                                 _generative_cluster_kwargs(experiment))
+        outcome = impl(experiment.spec, experiment.workload_obj(),
+                       fleet_mode=cluster.fleet_mode,
+                       accuracy_constraint=ee.accuracy_constraint,
+                       **pool_kwargs, obs=obs, **kw)
         if experiment.cluster is None:
             policy = outcome.policies[0]
             single = GenerativeRunResult(metrics=outcome.metrics.aggregate(),
@@ -283,7 +269,7 @@ def _apparate_system(experiment, **kw) -> RunResult:
         details["fleet_mode"] = cluster.fleet_mode
         details["ramp_depth"] = summary.get("ramp_depth", 0.0)
         details["threshold"] = summary.get("threshold", 0.0)
-        return _result(experiment, "apparate", KIND_GENERATIVE_CLUSTER,
+        return _result(experiment, "apparate", experiment.kind,
                        summary, raw=outcome, details=details, trace=obs)
     outcome = _apparate_cluster_impl(
         experiment.spec, experiment.workload_obj(),
@@ -363,13 +349,11 @@ def _free_system(experiment, **kw) -> RunResult:
             experiment.spec, experiment.workload_obj(),
             accuracy_constraint=experiment.ee.accuracy_constraint,
             **_disagg_kwargs(experiment), obs=obs, **kw)
-        return _result(experiment, "free", KIND_GENERATIVE_DISAGG,
-                       metrics.summary(), raw=metrics,
-                       details=_disagg_details(metrics), trace=obs)
-    metrics = _free_generative_cluster_impl(
-        experiment.spec, experiment.workload_obj(),
-        accuracy_constraint=experiment.ee.accuracy_constraint,
-        **_generative_cluster_kwargs(experiment), obs=obs, **kw)
+    else:
+        metrics = _free_generative_cluster_impl(
+            experiment.spec, experiment.workload_obj(),
+            accuracy_constraint=experiment.ee.accuracy_constraint,
+            **_generative_cluster_kwargs(experiment), obs=obs, **kw)
     return _pool_result(experiment, "free", metrics, obs)
 
 
@@ -385,9 +369,7 @@ def _optimal_system(experiment, **kw) -> RunResult:
         metrics = _optimal_generative_disagg_impl(
             experiment.spec, experiment.workload_obj(),
             **_disagg_kwargs(experiment), obs=obs, **kw)
-        return _result(experiment, "optimal", KIND_GENERATIVE_DISAGG,
-                       metrics.summary(), raw=metrics,
-                       details=_disagg_details(metrics), trace=obs)
+        return _pool_result(experiment, "optimal", metrics, obs)
     if experiment.is_generative:
         metrics = _optimal_generative_cluster_impl(
             experiment.spec, experiment.workload_obj(),

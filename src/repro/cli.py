@@ -51,7 +51,8 @@ from typing import List, Optional, Sequence
 
 from repro.api import (ClusterSpec, Experiment, ExitPolicySpec, RunReport,
                        WorkloadSpec, list_systems)
-from repro.models.zoo import Task, get_model, list_models
+from repro.api.experiment import resolve_model
+from repro.models.zoo import Task, list_models
 from repro.serving.autoscaler import AUTOSCALER_NAMES
 from repro.serving.cluster import balancer_names
 from repro.tenancy import TENANT_POLICIES
@@ -559,7 +560,7 @@ def _tenancy_header(cluster: Optional[ClusterSpec]) -> str:
 
 
 def _classification_experiment(args: argparse.Namespace) -> Experiment:
-    spec = get_model(args.model)
+    spec = resolve_model(args.model)
     if spec.task is Task.GENERATIVE:
         raise ValueError(f"{spec.name} is generative; use the 'generate' command")
     workload = WorkloadSpec.parse(args.workload, requests=args.requests,
@@ -621,7 +622,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = get_model(args.model)
+    spec = resolve_model(args.model)
     if not spec.is_generative:
         raise ValueError(f"{spec.name} is not generative; use the 'classify' command")
     systems = _split_csv(args.systems, "--systems")
@@ -736,7 +737,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = get_model(args.model)
+    spec = resolve_model(args.model)
     default_workload = "generative:cnn-dailymail" if spec.is_generative \
         else "video:urban-day"
     workload = WorkloadSpec.parse(args.workload or default_workload,

@@ -459,8 +459,6 @@ class ClusterPlatform:
         self.seed = int(seed)
         #: Observability recorder shared by every replica (no-op when unset).
         self.obs = obs if obs is not None else NULL_RECORDER
-        #: Kernel schedule counters of the most recent ``run()``.
-        self.last_kernel_stats = None
         self.balancer = build_balancer(balancer, seed=seed,
                                        kind="classification")
         self.autoscaler = build_autoscaler(autoscaler)
@@ -643,7 +641,6 @@ class ClusterPlatform:
         runner = _ClusterRun(self, pending, factory, fleet, start,
                              tenant_runtime=tenant_runtime, faults=self.faults)
         runner.drive()
-        self.last_kernel_stats = runner.events.stats()
 
         for entry in fleet.entries:
             entry.state.finalize_makespan()
@@ -651,7 +648,7 @@ class ClusterPlatform:
         last_event = max((e.state.last_event_ms for e in fleet.entries
                           if np.isfinite(e.state.last_event_ms)), default=start)
         metrics = self._collect(fleet, start, last_event, runner.rerouted)
-        runner.record_run(metrics)
+        metrics.kernel_stats = runner.events.stats()
         if tenant_runtime is not None:
             metrics.tenant_rollups = request_rollups(
                 metrics.aggregate().responses, tenant_runtime,
@@ -660,21 +657,14 @@ class ClusterPlatform:
 
     def _collect(self, fleet: FleetState, start_ms: float, end_ms: float,
                  rerouted: int) -> ClusterMetrics:
-        fleet.finalize(end_ms)
+        pool = fleet.collect(end_ms)
         served_anything = any(entry.state.metrics.num_responses()
                               for entry in fleet.entries)
-        makespan = max(end_ms - start_ms, 1e-9) if served_anything else 0.0
         return ClusterMetrics(
             replicas=[entry.state.metrics for entry in fleet.entries],
-            dispatch_counts=[entry.dispatched for entry in fleet.entries],
-            makespan_ms=makespan,
-            rerouted=int(rerouted),
-            fleet_timeline=list(fleet.timeline),
-            replica_seconds=fleet.replica_seconds(end_ms),
-            replica_active_ms=fleet.active_replica_ms(end_ms),
-            replica_uptimes_ms=[entry.active_ms(end_ms)
-                                for entry in fleet.entries],
-        )
+            pool=pool,
+            makespan_ms=max(end_ms - start_ms, 1e-9) if served_anything else 0.0,
+            rerouted=int(rerouted))
 
 
 #: runner event kinds: a batch completed, a batching-policy timer fired.

@@ -28,12 +28,12 @@ queued prompt chunks (prompt-token pressure), the decode scaler sees
 outstanding decode work — under a diurnal prompt-heavy cycle the pools grow
 and shrink on different schedules, which a monolithic fleet cannot express.
 
-:class:`DisaggregatedMetrics` extends the generative cluster rollups (whose
-base fields describe the decode pool) with the prefill pool's fleet timeline
-/ replica-seconds and the per-sequence prefill and KV-transfer delays; the
-aggregate token stream's TTFT is inclusive of queueing + prefill + transfer
-because each sequence's recorded queueing delay spans arrival → first decode
-step.
+:class:`DisaggregatedMetrics` is the generative fleet record of the decode
+pool plus the prefill pool's own :class:`~repro.serving.metrics.PoolMetrics`
+(``prefill``), its per-replica prefill counts and the per-sequence prefill
+and KV-transfer delays; the aggregate token stream's TTFT is inclusive of
+queueing + prefill + transfer because each sequence's recorded queueing
+delay spans arrival → first decode step.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeFleetState,
                                               PolicyFactory, _enqueue_sequence,
                                               _claim_decode_slots,
-                                              _decode_pool_fields, _kv_accountant,
+                                              _collect_decode, _kv_accountant,
                                               _on_decode_event)
 from repro.serving.hf_pipelines import ContinuousBatchingEngine
 from repro.serving.kernel import RUNNER_KINDS, PoolRuntime, SimPlatform
+from repro.serving.metrics import PoolMetrics
 from repro.tenancy import (TenancyConfig, TenantRuntime, build_sequence_runtime,
                            coerce_tenancy, sequence_rollups)
 
@@ -173,32 +174,25 @@ class DisaggregatedMetrics(GenerativeClusterMetrics):
     """Two-pool rollup of one disaggregated run.
 
     The inherited :class:`GenerativeClusterMetrics` fields describe the
-    **decode pool** (that is where tokens are produced); the ``prefill_*``
-    fields describe the prefill pool, and the per-sequence delay maps record
-    the pipeline stages every sequence crossed: ``prefill_delays_ms`` spans
-    arrival → prefill completion (queueing included), ``transfer_delays_ms``
-    is the KV-cache shipping time prefill → decode replica.
+    **decode pool** (that is where tokens are produced); ``prefill`` is the
+    prefill pool's :class:`~repro.serving.metrics.PoolMetrics`, and the
+    per-sequence delay maps record the pipeline stages every sequence
+    crossed: ``prefill_delays_ms`` spans arrival → prefill completion
+    (queueing included), ``transfer_delays_ms`` is the KV-cache shipping
+    time prefill → decode replica.  The crash counters are run totals over
+    both pools.
     """
 
-    prefill_dispatch_counts: List[int] = field(default_factory=list)
+    prefill: PoolMetrics = field(default_factory=PoolMetrics)
+    #: sequences / prompt tokens each prefill replica finished prefilling,
+    #: aligned with ``prefill.dispatch_counts``.
     prefill_counts: List[int] = field(default_factory=list)
-    #: prompt tokens prefilled per replica, aligned with ``prefill_counts``.
     prefill_token_counts: List[int] = field(default_factory=list)
-    prefill_fleet_timeline: List[Tuple[float, int]] = field(default_factory=list)
-    prefill_replica_seconds: float = 0.0
-    prefill_active_ms: float = 0.0
-    prefill_uptimes_ms: List[float] = field(default_factory=list)
     prefill_delays_ms: Dict[int, float] = field(default_factory=dict)
     transfer_delays_ms: Dict[int, float] = field(default_factory=dict)
 
-    def num_prefill_replicas(self) -> int:
-        return len(self.prefill_uptimes_ms)
-
-    def prefill_peak_replicas(self) -> int:
-        """Largest number of simultaneously active prefill replicas."""
-        if not self.prefill_fleet_timeline:
-            return self.num_prefill_replicas()
-        return max(count for _, count in self.prefill_fleet_timeline)
+    def pools(self) -> Tuple[PoolMetrics, ...]:
+        return (self.prefill, self.pool)
 
     @staticmethod
     def _finite_mean(values) -> float:
@@ -222,10 +216,11 @@ class DisaggregatedMetrics(GenerativeClusterMetrics):
 
     def summary(self) -> Dict[str, float]:
         data = super().summary()
+        prefill = self.prefill
         data.update({
-            "prefill_replicas": float(self.num_prefill_replicas()),
-            "prefill_peak_replicas": float(self.prefill_peak_replicas()),
-            "prefill_replica_seconds": float(self.prefill_replica_seconds),
+            "prefill_replicas": float(prefill.num_replicas()),
+            "prefill_peak_replicas": float(prefill.peak_replicas()),
+            "prefill_replica_seconds": float(prefill.replica_seconds),
             "prefill_delay_mean_ms": self.mean_prefill_delay_ms(),
             "transfer_ms_mean": self.mean_transfer_ms(),
         })
@@ -312,8 +307,6 @@ class DisaggregatedPlatform:
                              "decode replica")
         #: Observability recorder shared by both pools (no-op when unset).
         self.obs = obs if obs is not None else NULL_RECORDER
-        #: Kernel schedule counters of the most recent ``run()``.
-        self.last_kernel_stats = None
         if int(prefill_replicas) < 1:
             raise ValueError(f"prefill_replicas must be >= 1, "
                              f"got {prefill_replicas}")
@@ -435,14 +428,13 @@ class DisaggregatedPlatform:
                             decode_fleet, mean_tokens, mean_prompt, start,
                             tenant_runtime=tenant_runtime, faults=self.faults)
         runner.drive()
-        self.last_kernel_stats = runner.events.stats()
 
         end = max((e.last_completion_ms for e in decode_fleet.entries
                    if np.isfinite(e.last_completion_ms)), default=start)
         metrics = self._collect(prefill_fleet, decode_fleet,
                                 runner.prefill_delays, runner.transfer_delays,
                                 start, end)
-        runner.record_run(metrics)
+        metrics.kernel_stats = runner.events.stats()
         if tenant_runtime is not None:
             metrics.tenant_rollups = sequence_rollups(metrics.aggregate(),
                                                       tenant_runtime)
@@ -490,22 +482,14 @@ class DisaggregatedPlatform:
         prefill_end = max(end_ms, max(
             (e.last_completion_ms for e in prefill_fleet.entries
              if np.isfinite(e.last_completion_ms)), default=start_ms))
-        prefill_fleet.finalize(prefill_end)
-        return DisaggregatedMetrics(
-            **_decode_pool_fields(decode_fleet, start_ms, end_ms),
-            prefill_dispatch_counts=[e.dispatched
-                                     for e in prefill_fleet.entries],
+        return _collect_decode(
+            DisaggregatedMetrics, decode_fleet, start_ms, end_ms,
+            prefill=prefill_fleet.collect(prefill_end),
             prefill_counts=[e.prefilled for e in prefill_fleet.entries],
             prefill_token_counts=[e.prefilled_tokens
                                   for e in prefill_fleet.entries],
-            prefill_fleet_timeline=list(prefill_fleet.timeline),
-            prefill_replica_seconds=prefill_fleet.replica_seconds(prefill_end),
-            prefill_active_ms=prefill_fleet.active_replica_ms(prefill_end),
-            prefill_uptimes_ms=[e.active_ms(prefill_end)
-                                for e in prefill_fleet.entries],
             prefill_delays_ms=dict(prefill_delays),
-            transfer_delays_ms=dict(transfer_delays),
-        )
+            transfer_delays_ms=dict(transfer_delays))
 
 
 # --------------------------------------------------------------------- kernel

@@ -29,8 +29,10 @@ Three pieces:
     new dispatches; retired replicas keep their metrics so fleet rollups and
     the conservation invariant (every request answered exactly once) span
     every replica that ever served.  ``FleetState`` also records the
-    fleet-size timeline and the replica-seconds consumed — the cost side of
-    the autoscaling trade-off.
+    fleet-size timeline, the replica-seconds consumed — the cost side of
+    the autoscaling trade-off — and the pool's crash counters;
+    :meth:`BaseFleet.collect` closes the books into one
+    :class:`~repro.serving.metrics.PoolMetrics`.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Tuple, Union
 
 from repro.obs.recorder import NULL_RECORDER
+from repro.serving.metrics import PoolMetrics
 from repro.serving.platform import BatchExecutorFn, ReplicaState, ServingPlatform
 from repro.utils.fields import split_fields
 
@@ -280,6 +283,11 @@ class BaseFleet:
         #: Installed by the runner; the default no-op keeps runs untouched.
         self.obs = NULL_RECORDER
         self.obs_pool = "serve"
+        #: fault injection: crashes fired, replacements booted, and queued
+        #: items requeued by a crash (counted by the pool's runtime).
+        self.crashes = 0
+        self.recoveries = 0
+        self.requeued = 0
 
     def next_ordinal(self) -> int:
         """Ordinal the next-added replica will receive (stable, monotonic)."""
@@ -317,22 +325,23 @@ class BaseFleet:
                 entry.status = RETIRED
                 entry.retired_ms = now_ms
 
-    def finalize(self, end_ms: float) -> None:
-        """Close the books at the end of a run (retire every member)."""
-        for entry in self.entries:
+    # -------------------------------------------------------------- accounting
+    def collect(self, end_ms: float) -> PoolMetrics:
+        """Close the books at ``end_ms`` (retire every member) and return
+        the pool's rollup."""
+        entries = self.entries
+        for entry in entries:
             if entry.status != RETIRED:
                 entry.status = RETIRED
                 entry.retired_ms = end_ms
-
-    # -------------------------------------------------------------- accounting
-    def replica_seconds(self, end_ms: float) -> float:
-        """Cost-weighted replica-seconds consumed by the whole fleet."""
-        return sum(e.profile.cost_weight * e.active_ms(end_ms)
-                   for e in self.entries) / 1000.0
-
-    def active_replica_ms(self, end_ms: float) -> float:
-        """Unweighted provisioned milliseconds (for utilization rollups)."""
-        return sum(e.active_ms(end_ms) for e in self.entries)
+        uptimes = [e.active_ms(end_ms) for e in entries]
+        cost = sum(e.profile.cost_weight * uptime
+                   for e, uptime in zip(entries, uptimes)) / 1000.0
+        return PoolMetrics(dispatch_counts=[e.dispatched for e in entries],
+                           timeline=list(self.timeline), replica_seconds=cost,
+                           active_ms=sum(uptimes), uptimes_ms=uptimes,
+                           crashes=self.crashes, recoveries=self.recoveries,
+                           requeued=self.requeued)
 
     def _mark(self, now_ms: float) -> None:
         count = self.num_active()

@@ -29,19 +29,21 @@ clock:
 * replicas may be heterogeneous: a :class:`~repro.serving.fleet.ReplicaProfile`
   speed multiplier divides every decode-step duration.
 
-:class:`GenerativeClusterMetrics` mirrors the classification
-:class:`~repro.serving.metrics.ClusterMetrics` rollups at token granularity:
-fleet TPT percentiles (including the queueing-inclusive per-token p99 that
-dominates under load), deferred-flush counts, the fleet-size timeline and
-cost-weighted replica-seconds.
+:class:`GenerativeClusterMetrics` is the shared fleet record
+(:class:`~repro.serving.metrics.FleetMetrics`) over per-replica
+:class:`~repro.serving.hf_pipelines.GenerativeMetrics`: its ``pool``
+(:class:`~repro.serving.metrics.PoolMetrics`) holds the dispatch counts,
+fleet-size timeline, cost-weighted replica-seconds and crash counters, and
+its merged token stream gives the fleet TPT percentiles (including the
+queueing-inclusive per-token p99 that dominates under load) and
+deferred-flush counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import (Any, Callable, ClassVar, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
                                         VanillaTokenPolicy)
 from repro.serving.kernel import (RUNNER_KINDS, EventQueue, PoolRuntime,
                                   SimPlatform)
-from repro.serving.metrics import dispatch_imbalance_ratio
+from repro.serving.metrics import FleetMetrics
 from repro.tenancy import (TenancyConfig, TenantRuntime, build_sequence_runtime,
                            coerce_tenancy, sequence_rollups)
 
@@ -345,86 +347,11 @@ class GenerativeFleetState(BaseFleet):
 
 
 @dataclass
-class GenerativeClusterMetrics:
-    """Per-replica token metrics plus fleet-wide rollups for one cluster run.
+class GenerativeClusterMetrics(FleetMetrics):
+    """Fleet record of one generative cluster run: per-replica token
+    metrics, the decode pool's rollup and the merged token stream."""
 
-    ``replicas`` covers every replica that ever decoded during the run —
-    including ones the autoscaler retired mid-run — so token conservation and
-    all rollups span the full membership history.
-    """
-
-    replicas: List[GenerativeMetrics] = field(default_factory=list)
-    #: sequences the balancer routed to each replica, aligned with ``replicas``.
-    dispatch_counts: List[int] = field(default_factory=list)
-    #: global wall-clock span (first arrival to last token release) in ms.
-    makespan_ms: float = 0.0
-    #: (time_ms, active_replicas) recorded at every membership change.
-    fleet_timeline: List[Tuple[float, int]] = field(default_factory=list)
-    #: cost-weighted replica-seconds consumed by the fleet.
-    replica_seconds: float = 0.0
-    #: unweighted provisioned milliseconds (denominator for utilization).
-    replica_active_ms: float = 0.0
-    #: per-replica provisioned milliseconds, aligned with ``replicas``.
-    replica_uptimes_ms: List[float] = field(default_factory=list)
-    #: fault injection: crashes fired, replacements booted, and queued
-    #: sequences requeued to surviving replicas by a crash.
-    crashes: int = 0
-    recoveries: int = 0
-    requeued: int = 0
-    #: per-tenant rollups (empty unless the run configured tenancy); see
-    #: :func:`repro.tenancy.rollup.sequence_rollups` for the keys.
-    tenant_rollups: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    _aggregate: Optional[GenerativeMetrics] = field(default=None, init=False,
-                                                    repr=False, compare=False)
-
-    def num_replicas(self) -> int:
-        return len(self.replicas)
-
-    def peak_replicas(self) -> int:
-        """Largest number of simultaneously active replicas during the run."""
-        if not self.fleet_timeline:
-            return len(self.replicas)
-        return max(count for _, count in self.fleet_timeline)
-
-    def aggregate(self) -> GenerativeMetrics:
-        """Merged token stream measured on the cluster's global clock."""
-        if self._aggregate is None:
-            self._aggregate = GenerativeMetrics.merged(
-                self.replicas, makespan_ms=self.makespan_ms)
-        return self._aggregate
-
-    def total_tokens(self) -> int:
-        return len(self.aggregate().tokens)
-
-    def fleet_throughput_tokens_per_s(self) -> float:
-        return self.aggregate().throughput_tokens_per_s()
-
-    def p99_token_latency(self) -> float:
-        """Queueing-inclusive per-token p99 over the merged stream."""
-        return self.aggregate().p99_token_latency()
-
-    def dispatch_imbalance(self) -> float:
-        """Max/mean per-replica dispatch-rate ratio (1.0 = perfectly even)."""
-        return dispatch_imbalance_ratio(self.dispatch_counts,
-                                        self.replica_uptimes_ms)
-
-    def per_replica_summaries(self) -> List[Dict[str, float]]:
-        return [m.summary() for m in self.replicas]
-
-    def summary(self) -> Dict[str, float]:
-        """Fleet rollup: aggregate token stats plus cluster-only metrics."""
-        data = self.aggregate().summary()
-        data.update({
-            "num_replicas": float(self.num_replicas()),
-            "peak_replicas": float(self.peak_replicas()),
-            "dispatch_imbalance": self.dispatch_imbalance(),
-            "replica_seconds": float(self.replica_seconds),
-        })
-        if self.crashes or self.recoveries:
-            data["crashes"] = float(self.crashes)
-            data["recoveries"] = float(self.recoveries)
-            data["requeued"] = float(self.requeued)
-        return data
+    REPLICA_TYPE: ClassVar[type] = GenerativeMetrics
 
 
 class GenerativeClusterPlatform:
@@ -480,8 +407,6 @@ class GenerativeClusterPlatform:
             raise ValueError("a generative cluster needs at least one replica")
         #: Observability recorder shared by every replica (no-op when unset).
         self.obs = obs if obs is not None else NULL_RECORDER
-        #: Kernel schedule counters of the most recent ``run()``.
-        self.last_kernel_stats = None
         if ttft_slo_ms is not None and ttft_slo_ms <= 0:
             raise ValueError(f"ttft_slo_ms must be positive, got {ttft_slo_ms}")
         self.ttft_slo_ms = None if ttft_slo_ms is None else float(ttft_slo_ms)
@@ -572,12 +497,11 @@ class GenerativeClusterPlatform:
                                 tenant_runtime=tenant_runtime,
                                 faults=self.faults)
         runner.drive()
-        self.last_kernel_stats = runner.events.stats()
 
         end = max((e.last_completion_ms for e in fleet.entries
                    if np.isfinite(e.last_completion_ms)), default=start)
         metrics = self._collect(fleet, start, end)
-        runner.record_run(metrics)
+        metrics.kernel_stats = runner.events.stats()
         if tenant_runtime is not None:
             metrics.tenant_rollups = sequence_rollups(metrics.aggregate(),
                                                       tenant_runtime)
@@ -585,8 +509,8 @@ class GenerativeClusterPlatform:
 
     def _collect(self, fleet: GenerativeFleetState, start_ms: float,
                  end_ms: float) -> GenerativeClusterMetrics:
-        return GenerativeClusterMetrics(**_decode_pool_fields(fleet, start_ms,
-                                                             end_ms))
+        return _collect_decode(GenerativeClusterMetrics, fleet, start_ms,
+                               end_ms)
 
 
 def _kv_accountant(engine: ContinuousBatchingEngine, profile: ReplicaProfile,
@@ -616,15 +540,16 @@ def _kv_accountant(engine: ContinuousBatchingEngine, profile: ReplicaProfile,
                              recompute_ms_per_token=recompute)
 
 
-def _decode_pool_fields(fleet: GenerativeFleetState, start_ms: float,
-                       end_ms: float) -> Dict[str, Any]:
-    """Close a decode fleet's books; return its
-    :class:`GenerativeClusterMetrics` fields.
+def _collect_decode(record: type, fleet: GenerativeFleetState,
+                    start_ms: float, end_ms: float, **fields):
+    """Close a decode fleet's books into a ``record`` (a
+    :class:`GenerativeClusterMetrics` or a subclass, with its own
+    ``fields``).
 
     Each replica's metrics get their makespan and, with a cache model, the
     KV accountant's counters.
     """
-    fleet.finalize(end_ms)
+    pool = fleet.collect(end_ms)
     for entry in fleet.entries:
         metrics = entry.metrics
         if metrics.tokens:
@@ -638,15 +563,10 @@ def _decode_pool_fields(fleet: GenerativeFleetState, start_ms: float,
             metrics.kv_evicted_tokens = kv.evicted_tokens
             metrics.kv_recompute_tokens = kv.recompute_tokens
     decoded_anything = any(entry.metrics.tokens for entry in fleet.entries)
-    return dict(
-        replicas=[entry.metrics for entry in fleet.entries],
-        dispatch_counts=[entry.dispatched for entry in fleet.entries],
+    return record(
+        replicas=[entry.metrics for entry in fleet.entries], pool=pool,
         makespan_ms=max(end_ms - start_ms, 1e-9) if decoded_anything else 0.0,
-        fleet_timeline=list(fleet.timeline),
-        replica_seconds=fleet.replica_seconds(end_ms),
-        replica_active_ms=fleet.active_replica_ms(end_ms),
-        replica_uptimes_ms=[entry.active_ms(end_ms) for entry in fleet.entries],
-    )
+        **fields)
 
 
 #: runner event kinds of a decode pool (the monolithic cluster's and the

@@ -58,7 +58,9 @@ in the style of event-driven flow-level network simulators:
       wake;
     * ``scale`` / ``boot`` — the autoscaler phase and scale-out boots;
     * ``crash`` / ``recover`` — oldest-active victim, last-replica guard,
-      drain, orphan requeue through ``route``, replacement boot;
+      drain, orphan requeue through ``route``, replacement boot (counted
+      on the fleet, whose ``collect`` reports them in the pool's
+      :class:`~repro.serving.metrics.PoolMetrics`);
     * ``sample_gauges`` — queue depth, busy count, active size, KV bytes.
 
     Only per-pool-type facts stay outside: the entry class (how an item
@@ -327,15 +329,6 @@ class SimPlatform:
             self.events.push(max(fault.crash_ms, start_ms), CRASH,
                              (pool, fault))
 
-    def record_run(self, metrics: Any) -> None:
-        """Copy the run's fault counters (summed over pools) and kernel
-        schedule counters onto ``metrics``."""
-        pools = self.pools
-        metrics.crashes = sum(p.crashes for p in pools)
-        metrics.recoveries = sum(p.recoveries for p in pools)
-        metrics.requeued = sum(p.requeued for p in pools)
-        metrics.kernel_stats = self.events.stats()
-
     # ------------------------------------------------- subclass contract
     def step(self, now_ms: float) -> bool:
         """One fixpoint pass at ``now_ms``; return whether anything progressed."""
@@ -475,8 +468,7 @@ class PoolRuntime:
 
     __slots__ = ("sim", "fleet", "balancer", "autoscaler", "min_replicas",
                  "max_replicas", "factory", "tenants", "name", "serving",
-                 "active", "boots", "draining", "dirty",
-                 "crash_stock", "crashes", "recoveries", "requeued",
+                 "active", "boots", "draining", "dirty", "crash_stock",
                  "static", "last_desired", "_busy_gauge", "_label")
 
     def __init__(self, sim: "SimPlatform", fleet: Any, balancer: Any,
@@ -502,9 +494,6 @@ class PoolRuntime:
         self.dirty: List[Any] = []
         #: Crashed entries awaiting recovery, oldest first.
         self.crash_stock: List[Any] = []
-        self.crashes = 0
-        self.recoveries = 0
-        self.requeued = 0
         #: Last autoscaler target emitted as a gauge (decision de-dup).
         self.last_desired: Optional[int] = None
         self.refresh_active()
@@ -658,18 +647,19 @@ class PoolRuntime:
         self.refresh_active()
         orphans = victim.queue
         victim.queue = []
-        self.crashes += 1
+        fleet = self.fleet
+        fleet.crashes += 1
         self.crash_stock.append(victim)
         self.sim.events.push(now_ms + fault.down_ms, RECOVER, self)
         self.wake(victim)  # retire once its salvaged work finishes
         for item in orphans:
             self.route(item, now_ms, requeued=True)
-        self.requeued += len(orphans)
+        fleet.requeued += len(orphans)
 
     def recover(self, now_ms: float) -> None:
         """Boot a replacement for the oldest still-unrecovered crash."""
         self.add(self.factory(now_ms, self.crash_stock.pop(0)))
-        self.recoveries += 1
+        self.fleet.recoveries += 1
 
     # ---------------------------------------------------------------- gauges
     def sample_gauges(self, now_ms: float) -> None:

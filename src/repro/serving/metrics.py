@@ -1,9 +1,11 @@
 """Serving metrics: latency distributions, throughput and accuracy accounting.
 
-Two granularities are provided: :class:`ServingMetrics` aggregates one
-replica's run, and :class:`ClusterMetrics` holds one ``ServingMetrics`` per
-replica plus fleet-wide rollups (goodput, SLO violations, dispatch balance)
-computed over the merged response stream on the cluster's global clock.
+:class:`ServingMetrics` aggregates one replica's run.  :class:`PoolMetrics`
+is the one rollup every replica pool reports through (dispatch balance,
+fleet-size timeline, replica-seconds, crash counters), and
+:class:`FleetMetrics` — the base of the classification, generative and
+disaggregated fleet records — holds a run's per-replica metrics, its
+``pool`` and the merged stream on the fleet's global clock.
 
 ``ServingMetrics`` stores responses *columnar*: one flat list per Response
 field instead of one :class:`~repro.serving.request.Response` object per
@@ -20,35 +22,14 @@ sees the exact records the eager path produced, in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.serving.request import Request, Response
 from repro.utils.stats import summarize_latencies
 
-__all__ = ["ServingMetrics", "ClusterMetrics", "dispatch_imbalance_ratio"]
-
-
-def dispatch_imbalance_ratio(counts: Sequence[int],
-                             uptimes_ms: Sequence[float]) -> float:
-    """Max/mean ratio of per-replica dispatch *rates* (1.0 = perfectly even).
-
-    Rates are dispatches per provisioned millisecond, so a replica the
-    autoscaler added late is judged against its own uptime rather than the
-    whole run — a perfectly balanced elastic fleet reads 1.0.  Fixed fleets
-    (equal uptimes) reduce to the classic max/mean count ratio.  Shared by
-    the classification and generative cluster rollups.
-    """
-    if not counts or sum(counts) == 0:
-        return 1.0
-    if len(uptimes_ms) == len(counts) and sum(uptimes_ms) > 0:
-        rates = [count / uptime
-                 for count, uptime in zip(counts, uptimes_ms) if uptime > 0]
-        mean = sum(rates) / len(rates) if rates else 0.0
-        if mean > 0:
-            return max(rates) / mean
-    return max(counts) * len(counts) / sum(counts)
+__all__ = ["ServingMetrics", "PoolMetrics", "FleetMetrics", "ClusterMetrics"]
 
 
 #: Column order of the internal response table (mirrors Response's fields).
@@ -338,76 +319,143 @@ class ServingMetrics:
 
 
 @dataclass
-class ClusterMetrics:
-    """Per-replica metrics plus fleet-wide rollups for one cluster run.
+class PoolMetrics:
+    """The rollup of one replica pool: dispatch balance, membership history,
+    cost and faults.
 
-    ``replicas`` covers every replica that ever served during the run —
-    including ones the autoscaler retired mid-run — so the conservation
-    invariant and all rollups span the full membership history.
+    The per-replica lists are aligned with the pool's entries in add order,
+    so they cover every replica that ever served, including ones retired
+    mid-run.  :meth:`~repro.serving.fleet.BaseFleet.collect` fills one.
     """
 
-    replicas: List[ServingMetrics] = field(default_factory=list)
-    #: how many requests the balancer routed to each replica (first dispatch
-    #: only; salvage re-routes are counted in ``rerouted``).
+    #: items the balancer routed to each replica (first dispatch only: crash
+    #: requeues and salvage re-routes are not counted).
     dispatch_counts: List[int] = field(default_factory=list)
-    #: global wall-clock span (first arrival to last completion) in ms.
-    makespan_ms: float = 0.0
-    #: doomed requests the dispatcher re-routed to another replica (drop salvage).
-    rerouted: int = 0
     #: (time_ms, active_replicas) recorded at every membership change.
-    fleet_timeline: List[Tuple[float, int]] = field(default_factory=list)
-    #: cost-weighted replica-seconds consumed by the fleet (the autoscaling
+    timeline: List[Tuple[float, int]] = field(default_factory=list)
+    #: cost-weighted replica-seconds consumed by the pool (the autoscaling
     #: cost metric: what the run would bill at one cost unit per second of
     #: base-speed replica).
     replica_seconds: float = 0.0
     #: unweighted provisioned milliseconds (denominator for utilization).
-    replica_active_ms: float = 0.0
-    #: per-replica provisioned milliseconds (added -> retired), aligned with
-    #: ``replicas``; normalizes dispatch balance for elastic fleets.
-    replica_uptimes_ms: List[float] = field(default_factory=list)
-    #: fault injection: crashes fired, replacements booted, and queued
-    #: requests requeued to surviving replicas by a crash.
+    active_ms: float = 0.0
+    #: per-replica provisioned milliseconds (added -> retired); normalizes
+    #: dispatch balance for elastic pools.
+    uptimes_ms: List[float] = field(default_factory=list)
+    #: fault injection: crashes fired, replacements booted, and queued items
+    #: requeued to surviving replicas by a crash.
     crashes: int = 0
     recoveries: int = 0
     requeued: int = 0
-    #: per-tenant rollups (empty unless the run configured tenancy); see
-    #: :func:`repro.tenancy.rollup.request_rollups` for the keys.
-    tenant_rollups: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    _aggregate: Optional[ServingMetrics] = field(default=None, init=False,
-                                                 repr=False, compare=False)
 
     def num_replicas(self) -> int:
-        return len(self.replicas)
+        return len(self.dispatch_counts)
 
     def peak_replicas(self) -> int:
         """Largest number of simultaneously active replicas during the run."""
-        if not self.fleet_timeline:
-            return len(self.replicas)
-        return max(count for _, count in self.fleet_timeline)
+        if not self.timeline:
+            return self.num_replicas()
+        return max(count for _, count in self.timeline)
 
-    # ------------------------------------------------------------- aggregate
-    def aggregate(self) -> ServingMetrics:
-        """Merged response stream measured on the cluster's global clock.
+    def dispatch_imbalance(self) -> float:
+        """Max/mean ratio of per-replica dispatch *rates* (1.0 = perfectly even).
 
-        Cached: a ClusterMetrics records a finished run, so the merge is
+        Rates are dispatches per provisioned millisecond, so a replica the
+        autoscaler added late is judged against its own uptime rather than
+        the whole run: a perfectly balanced elastic pool reads 1.0.  Fixed
+        pools (equal uptimes) reduce to the classic max/mean count ratio.
+        """
+        counts = self.dispatch_counts
+        uptimes_ms = self.uptimes_ms
+        if not counts or sum(counts) == 0:
+            return 1.0
+        if len(uptimes_ms) == len(counts) and sum(uptimes_ms) > 0:
+            rates = [count / uptime
+                     for count, uptime in zip(counts, uptimes_ms) if uptime > 0]
+            mean = sum(rates) / len(rates) if rates else 0.0
+            if mean > 0:
+                return max(rates) / mean
+        return max(counts) * len(counts) / sum(counts)
+
+
+def _run_total(counter: str) -> property:
+    return property(lambda self: sum(getattr(pool, counter)
+                                     for pool in self.pools()))
+
+
+@dataclass
+class FleetMetrics:
+    """Per-replica metrics plus the pool rollup of one fleet run.
+
+    ``replicas`` covers every replica that ever served during the run —
+    including ones the autoscaler retired mid-run — so the conservation
+    invariant and all rollups span the full membership history.
+    ``REPLICA_TYPE.merged`` builds :meth:`aggregate`.
+    """
+
+    REPLICA_TYPE: ClassVar[type] = ServingMetrics
+
+    replicas: List = field(default_factory=list)
+    pool: PoolMetrics = field(default_factory=PoolMetrics)
+    #: global wall-clock span (first arrival to last completion) in ms.
+    makespan_ms: float = 0.0
+    #: per-tenant rollups (empty unless the run configured tenancy); see
+    #: :mod:`repro.tenancy.rollup` for the keys.
+    tenant_rollups: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: the event kernel's schedule counters (``None`` when nothing ran).
+    kernel_stats: Optional[Dict[str, int]] = None
+    _aggregate: Optional[object] = field(default=None, init=False,
+                                         repr=False, compare=False)
+
+    def pools(self) -> Tuple[PoolMetrics, ...]:
+        """Every pool of the run (a disaggregated run has two)."""
+        return (self.pool,)
+
+    #: fault counters of the whole run, summed over :meth:`pools`.
+    crashes = _run_total("crashes")
+    recoveries = _run_total("recoveries")
+    requeued = _run_total("requeued")
+
+    def aggregate(self):
+        """Merged response stream measured on the fleet's global clock.
+
+        Cached: a fleet record holds a finished run, so the merge is
         computed once and shared by every fleet rollup.
         """
         if self._aggregate is None:
-            self._aggregate = ServingMetrics.merged(self.replicas,
-                                                    makespan_ms=self.makespan_ms)
+            self._aggregate = self.REPLICA_TYPE.merged(
+                self.replicas, makespan_ms=self.makespan_ms)
         return self._aggregate
 
-    def fleet_throughput_qps(self) -> float:
-        return self.aggregate().throughput_qps()
+    def per_replica_summaries(self) -> List[Dict[str, float]]:
+        return [m.summary() for m in self.replicas]
 
-    def fleet_goodput_qps(self, slo_ms: Optional[float] = None) -> float:
-        return self.aggregate().goodput_qps(slo_ms)
+    def _pool_keys(self) -> Dict[str, float]:
+        """The summary keys describing the pool itself."""
+        pool = self.pool
+        return {"num_replicas": float(pool.num_replicas()),
+                "peak_replicas": float(pool.peak_replicas()),
+                "dispatch_imbalance": pool.dispatch_imbalance(),
+                "replica_seconds": float(pool.replica_seconds)}
 
-    def fleet_slo_violation_rate(self, slo_ms: float) -> float:
-        return self.aggregate().slo_violation_rate(slo_ms)
+    def summary(self) -> Dict[str, float]:
+        """Fleet rollup: the merged stream's summary, the pool keys and,
+        when a fault fired, the run's crash counters."""
+        data = self.aggregate().summary()
+        data.update(self._pool_keys())
+        if self.crashes or self.recoveries:
+            data["crashes"] = float(self.crashes)
+            data["recoveries"] = float(self.recoveries)
+            data["requeued"] = float(self.requeued)
+        return data
 
-    def fleet_drop_rate(self) -> float:
-        return self.aggregate().drop_rate()
+
+@dataclass
+class ClusterMetrics(FleetMetrics):
+    """Fleet record of one classification cluster run."""
+
+    #: doomed requests the dispatcher re-routed to another replica (drop salvage).
+    rerouted: int = 0
 
     def fleet_gpu_utilization(self) -> float:
         """Mean accelerator utilization over the fleet's provisioned time.
@@ -420,52 +468,24 @@ class ClusterMetrics:
         if self.makespan_ms <= 0 or not self.replicas:
             return 0.0
         busy = sum(m.gpu_busy_ms for m in self.replicas)
-        provisioned = self.replica_active_ms if self.replica_active_ms > 0 \
+        provisioned = self.pool.active_ms if self.pool.active_ms > 0 \
             else self.makespan_ms * len(self.replicas)
         return min(1.0, busy / provisioned)
 
-    def dispatch_imbalance(self) -> float:
-        """Max/mean per-replica dispatch-rate ratio (1.0 = perfectly even)."""
-        return dispatch_imbalance_ratio(self.dispatch_counts,
-                                        self.replica_uptimes_ms)
-
-    # --------------------------------------------------- fleet latency rollups
-    def latency_summary(self) -> Dict[str, float]:
-        """Fleet-wide latency percentiles over the merged response stream.
-
-        Safe for runs where zero requests complete (all-dropped or
-        drained-to-empty fleets): returns zeroed percentiles with
-        ``count == 0`` instead of raising.
-        """
-        return self.aggregate().latency_summary()
-
-    def median_latency(self) -> float:
-        return self.latency_summary()["p50"]
-
-    def p99_latency(self) -> float:
-        return self.latency_summary()["p99"]
-
-    # -------------------------------------------------------------- summaries
-    def per_replica_summaries(self) -> List[Dict[str, float]]:
-        return [m.summary() for m in self.replicas]
+    def _pool_keys(self) -> Dict[str, float]:
+        pool = self.pool
+        return {"num_replicas": float(pool.num_replicas()),
+                "peak_replicas": float(pool.peak_replicas()),
+                "fleet_gpu_utilization": self.fleet_gpu_utilization(),
+                "dispatch_imbalance": pool.dispatch_imbalance(),
+                "rerouted": float(self.rerouted),
+                "replica_seconds": float(pool.replica_seconds)}
 
     def summary(self, slo_ms: Optional[float] = None) -> Dict[str, float]:
-        """Fleet rollup: aggregate latency stats plus cluster-only metrics."""
-        aggregate = self.aggregate()
-        data = aggregate.summary()
-        data.update({
-            "num_replicas": float(self.num_replicas()),
-            "peak_replicas": float(self.peak_replicas()),
-            "fleet_gpu_utilization": self.fleet_gpu_utilization(),
-            "dispatch_imbalance": self.dispatch_imbalance(),
-            "rerouted": float(self.rerouted),
-            "replica_seconds": float(self.replica_seconds),
-        })
+        """Fleet rollup, plus fleet goodput and SLO violations at ``slo_ms``."""
+        data = super().summary()
         if slo_ms is not None:
+            aggregate = self.aggregate()
             data["fleet_goodput_qps"] = aggregate.goodput_qps(slo_ms)
             data["fleet_slo_violation_rate"] = aggregate.slo_violation_rate(slo_ms)
-        if self.crashes or self.recoveries:
-            data["crashes"] = float(self.crashes)
-            data["recoveries"] = float(self.recoveries)
-            data["requeued"] = float(self.requeued)
         return data

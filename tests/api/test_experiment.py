@@ -8,6 +8,7 @@ from repro.api import (ClusterSpec, Experiment, ExitPolicySpec, WorkloadSpec,
                        KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE)
 from repro.core.generative import run_generative_apparate
 from repro.core.pipeline import run_apparate, run_apparate_cluster, run_vanilla
+from repro.exits.ramps import RampStyle
 from repro.baselines.static_ee import StaticEEVariant, run_static_ee
 
 
@@ -62,6 +63,19 @@ def test_spec_validation_names_the_offending_value():
         WorkloadSpec("audio")
     with pytest.raises(ValueError, match="-0.5"):
         ExitPolicySpec(accuracy_constraint=-0.5)
+    for rate in (0.0, -1.0, float("nan"), float("inf")):
+        for kind in ("video", "nlp", "generative"):
+            with pytest.raises(ValueError, match=f"rate .*{rate}"):
+                WorkloadSpec(kind, rate=rate)
+    for budget in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"ramp_budget .*{budget}"):
+            ExitPolicySpec(ramp_budget=budget)
+    with pytest.raises(ValueError, match="ramp_style 'zzz'"):
+        ExitPolicySpec(ramp_style="zzz")
+    assert ExitPolicySpec(ramp_style="conv_heavy").ramp_style is \
+        RampStyle.CONV_HEAVY
+    with pytest.raises(ValueError, match="unknown model 'nope'"):
+        Experiment(model="nope", workload=WORKLOAD)
 
 
 # ---------------------------------------------------------------- shim parity

@@ -41,6 +41,19 @@ def test_classify_command_rejects_unknown_workload_kind():
               "--requests", "100"])
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["classify", "--model", "nope"], "unknown model 'nope'"),
+    (["generate", "--model", "nope"], "unknown model 'nope'"),
+    (["sweep", "--model", "nope", "--replicas", "1"], "unknown model 'nope'"),
+    (["classify", "--rate", "nan", "--requests", "20"], "rate .*nan"),
+    (["generate", "--rate", "nan", "--sequences", "5"], "rate .*nan"),
+    (["classify", "--rate", "inf", "--requests", "20"], "rate .*inf"),
+])
+def test_bad_model_or_rate_exits_with_a_named_error(argv, token):
+    with pytest.raises(SystemExit, match=f"error: {token}"):
+        main(argv)
+
+
 def test_generate_command_runs_small_workload(capsys):
     code = main(["generate", "--model", "t5-large", "--dataset", "squad",
                  "--sequences", "30", "--seed", "5"])

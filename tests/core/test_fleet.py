@@ -94,7 +94,7 @@ def test_run_vanilla_cluster_serves_all_requests(small_video_workload):
                                 balancer="round_robin", drop_expired=False)
     agg = fleet.aggregate()
     assert len(agg.served()) == len(small_video_workload)
-    assert sum(fleet.dispatch_counts) == len(small_video_workload)
+    assert sum(fleet.pool.dispatch_counts) == len(small_video_workload)
 
 
 @pytest.mark.parametrize("fleet_mode", ["independent", "shared"])
@@ -119,5 +119,5 @@ def test_cluster_outscales_single_replica(small_video_workload):
                               drop_expired=False)
     two = run_vanilla_cluster("resnet50", small_video_workload, replicas=2,
                               balancer="least_work_left", drop_expired=False)
-    assert two.fleet_throughput_qps() >= one.fleet_throughput_qps() * 0.95
+    assert two.aggregate().throughput_qps() >= one.aggregate().throughput_qps() * 0.95
     assert two.aggregate().p95_latency() <= one.aggregate().p95_latency() + 1e-9

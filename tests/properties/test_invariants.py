@@ -158,7 +158,7 @@ def test_cluster_conserves_requests(gaps, num_replicas, balancer, seed):
     fleet = _run_cluster(num_replicas, balancer, gaps, seed=seed)
     responses = fleet.aggregate().responses
     assert sorted(r.request_id for r in responses) == list(range(len(gaps)))
-    assert sum(fleet.dispatch_counts) == len(gaps)
+    assert sum(fleet.pool.dispatch_counts) == len(gaps)
     # Each replica saw a disjoint slice of the stream.
     seen = [set(r.request_id for r in m.responses) for m in fleet.replicas]
     for i in range(len(seen)):
@@ -192,7 +192,7 @@ def test_cluster_conserves_requests_under_drops(gaps, num_replicas, balancer, se
 def test_cluster_deterministic_under_fixed_seed(gaps, num_replicas, balancer, seed):
     first = _run_cluster(num_replicas, balancer, gaps, seed=seed)
     second = _run_cluster(num_replicas, balancer, gaps, seed=seed)
-    assert first.dispatch_counts == second.dispatch_counts
+    assert first.pool.dispatch_counts == second.pool.dispatch_counts
     assert first.makespan_ms == second.makespan_ms
     a, b = first.aggregate(), second.aggregate()
     assert [(r.request_id, r.completion_ms, r.batch_size) for r in a.responses] \
@@ -213,7 +213,7 @@ def test_cluster_per_replica_and_aggregate_metrics_agree(gaps, num_replicas, bal
     # The fleet's clock spans every replica's run.
     assert fleet.makespan_ms >= max(m.makespan_ms for m in fleet.replicas) - 1e-9
     # Responses per replica match what the balancer dispatched there.
-    for metrics, dispatched in zip(fleet.replicas, fleet.dispatch_counts):
+    for metrics, dispatched in zip(fleet.replicas, fleet.pool.dispatch_counts):
         assert len(metrics.responses) == dispatched
 
 

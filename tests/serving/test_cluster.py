@@ -124,11 +124,11 @@ def test_power_of_two_choices_is_seed_deterministic():
         requests, fixed_time_executor())
     second = make_cluster(4, "power_of_two_choices", seed=5).run(
         requests, fixed_time_executor())
-    assert first.dispatch_counts == second.dispatch_counts
+    assert first.pool.dispatch_counts == second.pool.dispatch_counts
     other = make_cluster(4, "power_of_two_choices", seed=6).run(
         requests, fixed_time_executor())
     # A different seed is allowed to (and here does) pick differently.
-    assert sum(other.dispatch_counts) == 200
+    assert sum(other.pool.dispatch_counts) == 200
 
 
 # -------------------------------------------------------------------- cluster
@@ -151,13 +151,13 @@ def test_every_balancer_serves_every_request_once(balancer):
     fleet = make_cluster(3, balancer).run(requests, fixed_time_executor())
     responses = fleet.aggregate().responses
     assert sorted(r.request_id for r in responses) == list(range(120))
-    assert sum(fleet.dispatch_counts) == 120
+    assert sum(fleet.pool.dispatch_counts) == 120
 
 
 def test_round_robin_dispatch_counts_are_even():
     fleet = make_cluster(4, "round_robin").run(paced(100), fixed_time_executor())
-    assert fleet.dispatch_counts == [25, 25, 25, 25]
-    assert fleet.dispatch_imbalance() == pytest.approx(1.0)
+    assert fleet.pool.dispatch_counts == [25, 25, 25, 25]
+    assert fleet.pool.dispatch_imbalance() == pytest.approx(1.0)
 
 
 def test_parallel_replicas_shorten_makespan():
@@ -166,13 +166,13 @@ def test_parallel_replicas_shorten_makespan():
     four = make_cluster(4, "round_robin").run(requests, fixed_time_executor())
     assert len(four.aggregate().served()) == 64
     assert four.makespan_ms < one.makespan_ms
-    assert four.fleet_throughput_qps() > one.fleet_throughput_qps() * 2
+    assert four.aggregate().throughput_qps() > one.aggregate().throughput_qps() * 2
 
 
 def test_cluster_with_no_requests():
     fleet = make_cluster(2, "round_robin").run([], fixed_time_executor())
     assert fleet.aggregate().responses == []
-    assert fleet.dispatch_counts == [0, 0]
+    assert fleet.pool.dispatch_counts == [0, 0]
 
 
 def test_cluster_per_replica_executors_receive_only_their_traffic():
@@ -187,8 +187,8 @@ def test_cluster_per_replica_executors_receive_only_their_traffic():
     fleet = make_cluster(2, "round_robin").run(
         paced(20), [recording_executor(0), recording_executor(1)])
     assert sorted(seen[0] + seen[1]) == list(range(20))
-    assert len(seen[0]) == fleet.dispatch_counts[0]
-    assert len(seen[1]) == fleet.dispatch_counts[1]
+    assert len(seen[0]) == fleet.pool.dispatch_counts[0]
+    assert len(seen[1]) == fleet.pool.dispatch_counts[1]
     # Round robin alternates, so replica 0 gets the even dispatch positions.
     assert set(seen[0]).isdisjoint(seen[1])
 

@@ -208,7 +208,7 @@ def test_tokens_conserved_across_pipeline():
     metrics = platform.run(workload, lambda o: VanillaTokenPolicy())
     assert token_multiset(metrics) == workload_multiset(workload)
     assert sum(metrics.prefill_counts) == len(workload.sequences)
-    assert sum(metrics.dispatch_counts) == len(workload.sequences)
+    assert sum(metrics.pool.dispatch_counts) == len(workload.sequences)
 
 
 @FAST
@@ -259,8 +259,8 @@ def test_repeated_runs_are_bit_identical():
 
     assert stream(first) == stream(second)
     assert first.summary() == second.summary()
-    assert first.prefill_fleet_timeline == second.prefill_fleet_timeline
-    assert first.fleet_timeline == second.fleet_timeline
+    assert first.prefill == second.prefill
+    assert first.pool.timeline == second.pool.timeline
 
 
 # -------------------------------------------------- independent pool sizing
@@ -281,8 +281,8 @@ def test_pools_scale_independently_under_prompt_pressure():
                              prompts=2048)
     metrics = platform.run(workload, lambda o: VanillaTokenPolicy())
     assert token_multiset(metrics) == workload_multiset(workload)
-    assert metrics.prefill_peak_replicas() > 1       # prefill pool grew
-    assert metrics.peak_replicas() <= 2              # decode pool did not
+    assert metrics.prefill.peak_replicas() > 1       # prefill pool grew
+    assert metrics.pool.peak_replicas() <= 2          # decode pool did not
 
 
 # ------------------------------------------------------- deadline shedding
@@ -302,7 +302,7 @@ def test_deadline_shedding_sheds_doomed_sequences():
     assert served + shed == len(workload.sequences)
     served_tokens = sum(s.num_tokens for s in workload.sequences
                         if s.sequence_id not in merged.shed_sequence_ids)
-    assert metrics.total_tokens() == served_tokens
+    assert len(metrics.aggregate().tokens) == served_tokens
     assert merged.ttft_values().max() <= 4 * STEP_MS + STEP_MS + 1e-9
     assert metrics.summary()["shed"] == float(shed)
     assert metrics.summary()["shed_rate"] == pytest.approx(shed / 8)
@@ -384,14 +384,15 @@ def test_disagg_shims_match_experiment_dispatch(small_generative_workload):
                                             prefill_replicas=1,
                                             decode_replicas=2)
     assert isinstance(metrics, DisaggregatedMetrics)
-    assert metrics.total_tokens() == small_generative_workload.total_tokens()
+    assert len(metrics.aggregate().tokens) == \
+        small_generative_workload.total_tokens()
 
     outcome = run_generative_apparate_disagg(SPEC, small_generative_workload,
                                              prefill_replicas=1,
                                              decode_replicas=2,
                                              fleet_mode="shared")
     assert len(set(id(p) for p in outcome.policies)) == 1    # one shared policy
-    assert outcome.metrics.total_tokens() == \
+    assert len(outcome.metrics.aggregate().tokens) == \
         small_generative_workload.total_tokens()
 
 

@@ -163,7 +163,7 @@ def test_static_fleet_outage_shows_in_timeline():
     """Without an autoscaler the fleet dips to N-1 until the scheduled boot."""
     metrics = _run(3, FaultSchedule.of(FaultSpec(100.0, 200.0)))
     assert metrics.crashes == 1 and metrics.recoveries == 1
-    sizes = [n for _, n in metrics.fleet_timeline]
+    sizes = [n for _, n in metrics.pool.timeline]
     assert min(sizes) == 2 and sizes[-1] == 3
 
 

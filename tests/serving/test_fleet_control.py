@@ -159,11 +159,13 @@ def test_fleet_state_lifecycle_and_accounting():
     assert b.status == RETIRED and b.retired_ms == 600.0
     assert [e.replica_id for e in fleet.serving()] == [a.replica_id]
 
-    fleet.finalize(1000.0)
+    pool = fleet.collect(1000.0)
     assert a.retired_ms == 1000.0
     # a: 1.0s at weight 1; b: 0.6s at weight 2 -> 2.2 weighted seconds.
-    assert fleet.replica_seconds(1000.0) == pytest.approx(2.2)
-    assert fleet.active_replica_ms(1000.0) == pytest.approx(1600.0)
+    assert pool.replica_seconds == pytest.approx(2.2)
+    assert pool.active_ms == pytest.approx(1600.0)
+    assert pool.uptimes_ms == [1000.0, 600.0]
+    assert pool.timeline == [(0.0, 2), (500.0, 1)]
 
 
 def test_draining_replica_finishes_work_but_gets_no_new_dispatches():
@@ -190,22 +192,22 @@ def test_draining_replica_finishes_work_but_gets_no_new_dispatches():
     assert sorted(r.request_id for r in responses) == list(range(200))
     # The drained replica (id 1, the newest) saw traffic before the drain but
     # none after: its dispatch count froze well below an even split.
-    assert metrics.dispatch_counts[1] < metrics.dispatch_counts[0]
-    assert metrics.fleet_timeline[0][1] == 2
-    assert metrics.fleet_timeline[-1][1] == 1
+    assert metrics.pool.dispatch_counts[1] < metrics.pool.dispatch_counts[0]
+    assert metrics.pool.timeline[0][1] == 2
+    assert metrics.pool.timeline[-1][1] == 1
     # Everything dispatched to the drained replica was answered by it.
-    assert len(metrics.replicas[1].responses) == metrics.dispatch_counts[1]
+    assert len(metrics.replicas[1].responses) == metrics.pool.dispatch_counts[1]
 
 
 def test_reactive_scales_out_under_burst_and_back_in():
     cluster = elastic_cluster(initial=2, min_replicas=2, max_replicas=6)
     metrics = cluster.run(bursty_requests(), fixed_time_executor())
-    sizes = [n for _, n in metrics.fleet_timeline]
-    assert metrics.peak_replicas() > 2, "burst should trigger scale-out"
-    assert sizes[-1] < metrics.peak_replicas(), "lull should trigger scale-in"
+    sizes = [n for _, n in metrics.pool.timeline]
+    assert metrics.pool.peak_replicas() > 2, "burst should trigger scale-out"
+    assert sizes[-1] < metrics.pool.peak_replicas(), "lull should trigger scale-in"
     # Replica-seconds undercut an always-peak fleet.
-    peak_cost = metrics.peak_replicas() * metrics.makespan_ms / 1000.0
-    assert metrics.replica_seconds < peak_cost
+    peak_cost = metrics.pool.peak_replicas() * metrics.makespan_ms / 1000.0
+    assert metrics.pool.replica_seconds < peak_cost
     # Conservation across every membership change.
     responses = metrics.aggregate().responses
     assert sorted(r.request_id for r in responses) == \
@@ -218,7 +220,7 @@ def test_predictive_scales_from_arrival_rate():
     cluster = elastic_cluster(initial=2, min_replicas=2, max_replicas=6,
                               autoscaler=scaler)
     metrics = cluster.run(bursty_requests(), fixed_time_executor())
-    assert metrics.peak_replicas() > 2
+    assert metrics.pool.peak_replicas() > 2
     responses = metrics.aggregate().responses
     assert sorted(r.request_id for r in responses) == \
         list(range(len(bursty_requests())))
@@ -228,8 +230,8 @@ def test_fixed_autoscaler_keeps_fleet_constant():
     cluster = elastic_cluster(initial=3, min_replicas=1, max_replicas=6,
                               autoscaler=FixedAutoscaler())
     metrics = cluster.run(bursty_requests(), fixed_time_executor())
-    assert metrics.fleet_timeline == [(0.0, 3)]
-    assert metrics.peak_replicas() == 3
+    assert metrics.pool.timeline == [(0.0, 3)]
+    assert metrics.pool.peak_replicas() == 3
 
 
 def test_identical_seeds_give_identical_fleet_timelines():
@@ -239,8 +241,8 @@ def test_identical_seeds_give_identical_fleet_timelines():
         return cluster.run(bursty_requests(), fixed_time_executor())
 
     first, second = one_run(), one_run()
-    assert first.fleet_timeline == second.fleet_timeline
-    assert first.dispatch_counts == second.dispatch_counts
+    assert first.pool.timeline == second.pool.timeline
+    assert first.pool.dispatch_counts == second.pool.dispatch_counts
     assert [(r.request_id, r.completion_ms) for r in first.aggregate().responses] \
         == [(r.request_id, r.completion_ms) for r in second.aggregate().responses]
 
@@ -254,8 +256,8 @@ def test_repeated_runs_on_one_cluster_object_are_deterministic():
     requests = bursty_requests()
     first = cluster.run(requests, fixed_time_executor())
     second = cluster.run(requests, fixed_time_executor())
-    assert first.dispatch_counts == second.dispatch_counts
-    assert first.fleet_timeline == second.fleet_timeline
+    assert first.pool.dispatch_counts == second.pool.dispatch_counts
+    assert first.pool.timeline == second.pool.timeline
     assert first.makespan_ms == second.makespan_ms
     assert [(r.request_id, r.completion_ms, r.batch_size)
             for r in first.aggregate().responses] \
@@ -288,7 +290,7 @@ def test_conservation_under_membership_change(gaps, initial, seed, drop):
     served = {r.request_id for r in agg.served()}
     assert dropped.isdisjoint(served)
     assert len(dropped) + len(served) == len(gaps)
-    assert sum(metrics.dispatch_counts) == len(gaps)
+    assert sum(metrics.pool.dispatch_counts) == len(gaps)
 
 
 # ----------------------------------------------------------------- salvage
@@ -334,7 +336,7 @@ def test_doomed_request_is_rerouted_to_idle_replica():
     # The rerouted requests actually ran on the second replica.
     assert len(metrics.replicas[1].responses) == metrics.rerouted
     # First-dispatch accounting is unchanged by reroutes.
-    assert metrics.dispatch_counts == [6, 0]
+    assert metrics.pool.dispatch_counts == [6, 0]
 
 
 def test_draining_replica_salvages_to_the_sole_active_replica():
@@ -387,20 +389,16 @@ def test_reactive_by_name_scales_on_slo_headroom():
 
 
 def test_dispatch_imbalance_normalizes_by_replica_uptime():
-    from repro.serving.metrics import ClusterMetrics, ServingMetrics
+    from repro.serving.metrics import PoolMetrics
     # 90 dispatches over a full 1000ms run vs 10 over a late 111ms lifetime:
     # equal rates, so an elastic fleet under fair balancing reads ~1.0 ...
-    elastic = ClusterMetrics(replicas=[ServingMetrics(), ServingMetrics()],
-                             dispatch_counts=[90, 10], makespan_ms=1000.0,
-                             replica_uptimes_ms=[1000.0, 1000.0 / 9.0])
+    elastic = PoolMetrics(dispatch_counts=[90, 10],
+                          uptimes_ms=[1000.0, 1000.0 / 9.0])
     assert elastic.dispatch_imbalance() == pytest.approx(1.0)
     # ... while equal uptimes reduce to the classic max/mean count ratio.
-    fixed = ClusterMetrics(replicas=[ServingMetrics(), ServingMetrics()],
-                           dispatch_counts=[75, 25], makespan_ms=1000.0,
-                           replica_uptimes_ms=[1000.0, 1000.0])
+    fixed = PoolMetrics(dispatch_counts=[75, 25], uptimes_ms=[1000.0, 1000.0])
     assert fixed.dispatch_imbalance() == pytest.approx(1.5)
-    legacy = ClusterMetrics(replicas=[ServingMetrics(), ServingMetrics()],
-                            dispatch_counts=[75, 25], makespan_ms=1000.0)
+    legacy = PoolMetrics(dispatch_counts=[75, 25])
     assert legacy.dispatch_imbalance() == pytest.approx(1.5)
 
 
@@ -420,7 +418,7 @@ def test_weighted_round_robin_dispatches_proportional_to_speed():
                               profiles=[2.0, 1.0, 1.0])
     requests = [make_request(i, float(i)) for i in range(400)]
     metrics = cluster.run(requests, fixed_time_executor())
-    counts = metrics.dispatch_counts
+    counts = metrics.pool.dispatch_counts
     assert counts[0] == pytest.approx(200, abs=2)
     assert counts[1] == pytest.approx(100, abs=2)
     assert counts[2] == pytest.approx(100, abs=2)

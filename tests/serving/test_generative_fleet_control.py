@@ -22,6 +22,7 @@ from repro.serving.generative_cluster import (GenerativeClusterMetrics,
                                               GenerativeClusterPlatform)
 from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
                                         GenerativeMetrics, VanillaTokenPolicy)
+from repro.serving.metrics import PoolMetrics
 
 FAST = settings(max_examples=20, deadline=None)
 
@@ -117,12 +118,12 @@ def test_work_left_costs_queues_by_tokens_not_requests():
     lwl = GenerativeClusterPlatform([engine, engine],
                                     balancer="least_work_left") \
         .run(workload, vanilla_factory)
-    assert lwl.dispatch_counts == [1, 5]
+    assert lwl.pool.dispatch_counts == [1, 5]
 
     jsq = GenerativeClusterPlatform([engine, engine],
                                     balancer="join_shortest_queue") \
         .run(workload, vanilla_factory)
-    assert jsq.dispatch_counts == [3, 3]
+    assert jsq.pool.dispatch_counts == [3, 3]
     assert token_multiset(lwl) == token_multiset(jsq)
 
 
@@ -148,7 +149,7 @@ def test_handle_exposes_decode_work_signals():
     assert handle.work_left_ms(0.0) == pytest.approx(100.0 + 4 * 18.0 / 2)
     assert handle.max_batch_size == 2
     assert handle.predicted_batch_time_ms(2) == pytest.approx(4 * 18.0)
-    assert metrics.total_tokens() == 12
+    assert len(metrics.aggregate().tokens) == 12
 
 
 # ------------------------------------------------------------- fleet lifecycle
@@ -178,23 +179,23 @@ def test_draining_replica_finishes_streams_but_gets_no_new_dispatches():
         {(s.sequence_id, i): 1 for s in workload.sequences
          for i in range(s.num_tokens)})
     # The drained replica (id 1, the newest) froze well below an even split.
-    assert metrics.dispatch_counts[1] < metrics.dispatch_counts[0]
-    assert metrics.fleet_timeline[0][1] == 2
-    assert metrics.fleet_timeline[-1][1] == 1
+    assert metrics.pool.dispatch_counts[1] < metrics.pool.dispatch_counts[0]
+    assert metrics.pool.timeline[0][1] == 2
+    assert metrics.pool.timeline[-1][1] == 1
     # Every sequence dispatched to the drained replica was decoded by it.
-    assert len(metrics.replicas[1].sequence_accuracy) == metrics.dispatch_counts[1]
+    assert len(metrics.replicas[1].sequence_accuracy) == metrics.pool.dispatch_counts[1]
 
 
 def test_reactive_scales_out_under_burst_and_back_in():
     cluster = elastic_cluster(initial=2, min_replicas=2, max_replicas=6)
     workload = bursty_workload()
     metrics = cluster.run(workload, vanilla_factory)
-    sizes = [n for _, n in metrics.fleet_timeline]
-    assert metrics.peak_replicas() > 2, "burst should trigger scale-out"
-    assert sizes[-1] < metrics.peak_replicas(), "lull should trigger scale-in"
-    peak_cost = metrics.peak_replicas() * metrics.makespan_ms / 1000.0
-    assert metrics.replica_seconds < peak_cost
-    assert metrics.total_tokens() == workload.total_tokens()
+    sizes = [n for _, n in metrics.pool.timeline]
+    assert metrics.pool.peak_replicas() > 2, "burst should trigger scale-out"
+    assert sizes[-1] < metrics.pool.peak_replicas(), "lull should trigger scale-in"
+    peak_cost = metrics.pool.peak_replicas() * metrics.makespan_ms / 1000.0
+    assert metrics.pool.replica_seconds < peak_cost
+    assert len(metrics.aggregate().tokens) == workload.total_tokens()
 
 
 def test_repeated_runs_on_one_cluster_object_are_bit_identical():
@@ -212,8 +213,8 @@ def test_repeated_runs_on_one_cluster_object_are_bit_identical():
 
     first = cluster.run(workload, apparate_factory)
     second = cluster.run(workload, apparate_factory)
-    assert first.dispatch_counts == second.dispatch_counts
-    assert first.fleet_timeline == second.fleet_timeline
+    assert first.pool.dispatch_counts == second.pool.dispatch_counts
+    assert first.pool.timeline == second.pool.timeline
     assert first.makespan_ms == second.makespan_ms
     for a, b in zip(first.replicas, second.replicas):
         assert [(t.sequence_id, t.token_index, t.release_ms, t.exited)
@@ -241,7 +242,7 @@ def test_token_conservation_under_membership_change(gaps, initial, seed, tokens)
     counts = token_multiset(metrics)
     assert set(counts.values()) <= {1}
     assert sum(counts.values()) == workload.total_tokens()
-    assert sum(metrics.dispatch_counts) == len(gaps)
+    assert sum(metrics.pool.dispatch_counts) == len(gaps)
     # Each sequence's tokens live on exactly one replica.
     for replica_a in range(len(metrics.replicas)):
         ids_a = set(metrics.replicas[replica_a].sequence_accuracy)
@@ -269,7 +270,7 @@ def test_weighted_round_robin_dispatches_proportional_to_speed():
                                         profiles=[2.0, 1.0, 1.0])
     workload = make_workload(np.arange(0.0, 4000.0, 10.0), tokens=2)
     metrics = cluster.run(workload, vanilla_factory)
-    counts = metrics.dispatch_counts
+    counts = metrics.pool.dispatch_counts
     assert counts[0] == pytest.approx(200, abs=2)
     assert counts[1] == pytest.approx(100, abs=2)
     assert counts[2] == pytest.approx(100, abs=2)
@@ -279,12 +280,12 @@ def test_weighted_round_robin_dispatches_proportional_to_speed():
 
 def test_cluster_metrics_empty_run_is_nan_safe():
     metrics = GenerativeClusterMetrics(replicas=[GenerativeMetrics()],
-                                       dispatch_counts=[0])
+                                       pool=PoolMetrics(dispatch_counts=[0]))
     summary = metrics.summary()
     assert summary["tpt_p99_ms"] == 0.0
     assert summary["token_p99_ms"] == 0.0
     assert summary["num_tokens"] == 0.0
-    assert metrics.dispatch_imbalance() == 1.0
+    assert metrics.pool.dispatch_imbalance() == 1.0
     empty_cluster = build_generative_cluster(SPEC, 2)
     collected = empty_cluster.run(GenerativeWorkload(name="empty"),
                                   vanilla_factory)

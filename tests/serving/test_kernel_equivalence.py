@@ -84,11 +84,7 @@ def arrivals_random(n, qps, seed, slo_ms=1000.0):
 def assert_cluster_equal(a, b):
     assert a.makespan_ms == b.makespan_ms
     assert a.rerouted == b.rerouted
-    assert a.dispatch_counts == b.dispatch_counts
-    assert a.fleet_timeline == b.fleet_timeline
-    assert a.replica_seconds == b.replica_seconds
-    assert a.replica_active_ms == b.replica_active_ms
-    assert a.replica_uptimes_ms == b.replica_uptimes_ms
+    assert a.pool == b.pool
     assert len(a.replicas) == len(b.replicas)
     for ra, rb in zip(a.replicas, b.replicas):
         assert ra.gpu_busy_ms == rb.gpu_busy_ms
@@ -232,11 +228,7 @@ def vanilla_factory(ordinal):
 
 def assert_generative_equal(a, b):
     assert a.makespan_ms == b.makespan_ms
-    assert a.dispatch_counts == b.dispatch_counts
-    assert a.fleet_timeline == b.fleet_timeline
-    assert a.replica_seconds == b.replica_seconds
-    assert a.replica_active_ms == b.replica_active_ms
-    assert a.replica_uptimes_ms == b.replica_uptimes_ms
+    assert a.pool == b.pool
     assert len(a.replicas) == len(b.replicas)
     for ra, rb in zip(a.replicas, b.replicas):
         assert ra.tokens == rb.tokens
@@ -304,13 +296,9 @@ def test_generative_heterogeneous_profiles_match_seed():
 
 def assert_disagg_equal(a, b):
     assert_generative_equal(a, b)
-    assert a.prefill_dispatch_counts == b.prefill_dispatch_counts
+    assert a.prefill == b.prefill
     assert a.prefill_counts == b.prefill_counts
     assert a.prefill_token_counts == b.prefill_token_counts
-    assert a.prefill_fleet_timeline == b.prefill_fleet_timeline
-    assert a.prefill_replica_seconds == b.prefill_replica_seconds
-    assert a.prefill_active_ms == b.prefill_active_ms
-    assert a.prefill_uptimes_ms == b.prefill_uptimes_ms
     assert a.prefill_delays_ms == b.prefill_delays_ms
     assert a.transfer_delays_ms == b.transfer_delays_ms
 

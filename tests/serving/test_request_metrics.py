@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serving.metrics import ClusterMetrics, ServingMetrics
+from repro.serving.metrics import ClusterMetrics, PoolMetrics, ServingMetrics
 from repro.serving.request import Request, Response, make_requests
 from repro.workloads.video import make_video_workload
 
@@ -151,7 +151,8 @@ class TestClusterMetrics:
             m.add_batch(30.0 + offset)
             m.makespan_ms = 80.0 + offset
             replicas.append(m)
-        return ClusterMetrics(replicas=replicas, dispatch_counts=[4, 4],
+        return ClusterMetrics(replicas=replicas,
+                              pool=PoolMetrics(dispatch_counts=[4, 4]),
                               makespan_ms=120.0)
 
     def test_aggregate_merges_all_responses(self):
@@ -162,7 +163,7 @@ class TestClusterMetrics:
         assert agg.gpu_busy_ms == pytest.approx(80.0)
         # Fleet throughput is measured on the global clock, not per-replica.
         assert agg.makespan_ms == pytest.approx(120.0)
-        assert cluster.fleet_throughput_qps() == pytest.approx(1000.0 * 8 / 120.0)
+        assert agg.throughput_qps() == pytest.approx(1000.0 * 8 / 120.0)
 
     def test_per_replica_vs_aggregate_consistency(self):
         cluster = self.build()
@@ -173,33 +174,36 @@ class TestClusterMetrics:
 
     def test_fleet_rollups(self):
         cluster = self.build()
-        assert cluster.num_replicas() == 2
-        assert cluster.dispatch_imbalance() == pytest.approx(1.0)
+        assert cluster.pool.num_replicas() == 2
+        assert cluster.pool.dispatch_imbalance() == pytest.approx(1.0)
         # busy = 80ms over 2 replicas x 120ms of wall clock.
         assert cluster.fleet_gpu_utilization() == pytest.approx(80.0 / 240.0)
         summary = cluster.summary(slo_ms=15.0)
         assert summary["num_replicas"] == 2.0
         assert "fleet_goodput_qps" in summary and "fleet_slo_violation_rate" in summary
         # Requests with latency <= 15ms: 10,11,12,13 -> 4 of 8.
-        assert cluster.fleet_slo_violation_rate(15.0) == pytest.approx(0.5)
+        assert cluster.aggregate().slo_violation_rate(15.0) == pytest.approx(0.5)
+        assert summary["fleet_slo_violation_rate"] == pytest.approx(0.5)
 
     def test_empty_cluster_metrics(self):
         cluster = ClusterMetrics()
-        assert cluster.fleet_throughput_qps() == 0.0
+        assert cluster.aggregate().throughput_qps() == 0.0
         assert cluster.fleet_gpu_utilization() == 0.0
-        assert cluster.dispatch_imbalance() == 1.0
+        assert cluster.pool.dispatch_imbalance() == 1.0
 
     def test_cluster_latency_summary_is_nan_safe_when_nothing_completes(self):
         """All-dropped or drained-to-empty runs report zeroed percentiles and
         count fields instead of raising or emitting NaN."""
         import math
         cluster = ClusterMetrics(replicas=[ServingMetrics(), ServingMetrics()],
-                                 dispatch_counts=[0, 0], makespan_ms=100.0)
-        summary = cluster.latency_summary()
+                                 pool=PoolMetrics(dispatch_counts=[0, 0]),
+                                 makespan_ms=100.0)
+        aggregate = cluster.aggregate()
+        summary = aggregate.latency_summary()
         assert summary == {"p25": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
                            "mean": 0.0, "count": 0}
-        assert cluster.p99_latency() == 0.0
-        assert cluster.median_latency() == 0.0
+        assert aggregate.p99_latency() == 0.0
+        assert aggregate.median_latency() == 0.0
         assert all(math.isfinite(v) for v in cluster.summary().values())
 
     def test_latency_summary_filters_non_finite_samples(self):
