@@ -10,6 +10,10 @@ order of their keys.  These runs pin that output exactly, as the unsorted
 * a KV-bounded, autoscaled generative cluster;
 * a disaggregated run whose prefill and decode pools both crash.
 
+The FREE and oracle baselines run on the same generative cluster and
+disaggregated pools, and Apparate runs there again with one fleet-wide
+(``shared``) token policy.
+
 The expected strings live in ``fleet_details_golden.json`` next to this
 file.  Regenerate them (only for a change that is *meant* to alter the
 reported output) with::
@@ -27,6 +31,19 @@ from repro.api import ClusterSpec, Experiment, WorkloadSpec
 
 GOLDEN = Path(__file__).with_name("fleet_details_golden.json")
 
+_GENERATIVE_KV = dict(
+    model="t5-large",
+    workload=WorkloadSpec("generative", requests=40, rate=40.0,
+                          prefix_groups=4),
+    cluster=ClusterSpec(replicas=2, balancer="prefix-affinity",
+                        autoscaler="reactive", max_replicas=4,
+                        kv_capacity=300e6))
+_DISAGG_WORKLOAD = WorkloadSpec("generative", requests=40, rate=300.0)
+_DISAGG_POOLS = dict(replicas=3, disaggregate=True, prefill_replicas=2,
+                     decode_replicas=3, faults="300:500:prefill;900:600:decode")
+_DISAGG = dict(model="t5-large", workload=_DISAGG_WORKLOAD,
+               cluster=ClusterSpec(**_DISAGG_POOLS))
+
 CASES = {
     "cluster": (
         dict(model="resnet50",
@@ -37,21 +54,14 @@ CASES = {
                          "backfill:priority=batch,exits=false",
                  faults="150:100")),
         ("vanilla", "apparate")),
-    "generative_kv": (
-        dict(model="t5-large",
-             workload=WorkloadSpec("generative", requests=40, rate=40.0,
-                                   prefix_groups=4),
-             cluster=ClusterSpec(replicas=2, balancer="prefix-affinity",
-                                 autoscaler="reactive", max_replicas=4,
-                                 kv_capacity=300e6)),
-        ("vanilla", "apparate")),
-    "disagg": (
-        dict(model="t5-large",
-             workload=WorkloadSpec("generative", requests=40, rate=300.0),
-             cluster=ClusterSpec(replicas=3, disaggregate=True,
-                                 prefill_replicas=2, decode_replicas=3,
-                                 faults="300:500:prefill;900:600:decode")),
-        ("vanilla", "apparate")),
+    "generative_kv": (_GENERATIVE_KV, ("vanilla", "apparate")),
+    "generative_kv_baselines": (_GENERATIVE_KV, ("free", "optimal")),
+    "disagg": (_DISAGG, ("vanilla", "apparate")),
+    "disagg_baselines": (_DISAGG, ("free", "optimal")),
+    "disagg_shared": (
+        dict(model="t5-large", workload=_DISAGG_WORKLOAD,
+             cluster=ClusterSpec(**_DISAGG_POOLS, fleet_mode="shared")),
+        ("apparate",)),
 }
 
 
