@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
-from repro.baselines.oracle import run_optimal_classification
-from repro.core.pipeline import run_vanilla
+from repro.api import Experiment
 
 CASES = {"resnet50": ("cv", "urban-day"), "bert-base": ("nlp", "amazon")}
 
@@ -21,9 +20,9 @@ def test_fig04_optimal_exits_lower_latency(benchmark, model_name):
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
     def compare():
-        vanilla = run_vanilla(model_name, workload)
-        optimal = run_optimal_classification(model_name, workload)
-        return vanilla, optimal
+        report = Experiment(model=model_name, workload=workload) \
+            .run(["vanilla", "optimal"])
+        return report.result("vanilla").raw, report.result("optimal").raw
 
     vanilla, optimal = run_once(benchmark, compare)
     rows = [{

@@ -8,7 +8,7 @@ alternatives, which the paper finds yields 1.3-5.4x lower median latencies.
 import pytest
 
 from bench_common import cv_workload, nlp_workload, print_table, run_once
-from repro.core.pipeline import run_apparate
+from repro.api import Experiment
 from repro.exits.ramps import RampStyle
 
 CASES = {
@@ -24,8 +24,10 @@ def test_fig08_lightweight_ramps_maximize_savings(benchmark, model_name):
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
     def sweep():
-        return {style: run_apparate(model_name, workload, ramp_style=style)
-                for style in styles}
+        points = Experiment(model=model_name, workload=workload) \
+            .sweep(systems=["apparate"], ramp_style=styles)
+        return {point.params["ramp_style"]: point.report.result("apparate").raw
+                for point in points}
 
     results = run_once(benchmark, sweep)
     rows = [{"model": model_name, "ramp_style": style.value,

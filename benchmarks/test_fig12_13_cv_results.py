@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from bench_common import cv_workload, pct_win, print_table, run_once
-from repro.baselines.oracle import run_optimal_classification
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment
 
 CV_MODELS = ["resnet18", "resnet50", "resnet101", "vgg11", "vgg13", "vgg16"]
 
@@ -21,10 +20,10 @@ def test_fig12_fig13_cv_latency_wins_and_tails(benchmark, model_name):
     workload = cv_workload(model_name, "urban-day")
 
     def compare():
-        vanilla = run_vanilla(model_name, workload)
-        apparate = run_apparate(model_name, workload)
-        optimal = run_optimal_classification(model_name, workload)
-        return vanilla, apparate, optimal
+        report = Experiment(model=model_name, workload=workload) \
+            .run(["vanilla", "apparate", "optimal"])
+        return (report.result("vanilla").raw, report.result("apparate").raw,
+                report.result("optimal").raw)
 
     vanilla, apparate, optimal = run_once(benchmark, compare)
     median_win = pct_win(vanilla.median_latency(), apparate.metrics.median_latency())

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from bench_common import nlp_workload, pct_win, print_table, run_once
-from repro.baselines.oracle import run_optimal_classification
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment
 
 NLP_MODELS = ["distilbert-base", "bert-base", "bert-large", "gpt2-medium"]
 DATASETS = ["amazon", "imdb"]
@@ -24,7 +23,9 @@ def test_fig14_nlp_latency_cdfs(benchmark, model_name, dataset):
     workload = nlp_workload(model_name, dataset)
 
     def compare():
-        return run_vanilla(model_name, workload), run_apparate(model_name, workload)
+        report = Experiment(model=model_name, workload=workload) \
+            .run(["vanilla", "apparate"])
+        return report.result("vanilla").raw, report.result("apparate").raw
 
     vanilla, apparate = run_once(benchmark, compare)
     median_win = pct_win(vanilla.median_latency(), apparate.metrics.median_latency())
@@ -55,9 +56,11 @@ def test_fig15_gap_to_optimal_exiting(benchmark, model_name):
     workload = nlp_workload(model_name, "amazon")
 
     def compare():
-        vanilla = run_vanilla(model_name, workload)
-        apparate = run_apparate(model_name, workload)
-        optimal = run_optimal_classification(model_name, workload)
+        report = Experiment(model=model_name, workload=workload) \
+            .run(["vanilla", "apparate", "optimal"])
+        vanilla = report.result("vanilla").raw
+        apparate = report.result("apparate").raw
+        optimal = report.result("optimal").raw
         return vanilla, apparate, optimal
 
     vanilla, apparate, optimal = run_once(benchmark, compare)

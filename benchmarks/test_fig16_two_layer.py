@@ -8,8 +8,7 @@ the paper, and its medians win by 5.7-66.6% on the NLP workloads.
 import pytest
 
 from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
-from repro.baselines.two_layer import run_two_layer
-from repro.core.pipeline import run_apparate
+from repro.api import Experiment
 
 CASES = {
     "vgg11": ("cv", "urban-day"),
@@ -25,7 +24,9 @@ def test_fig16_apparate_vs_two_layer(benchmark, model_name):
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
     def compare():
-        return run_apparate(model_name, workload), run_two_layer(model_name, workload)
+        report = Experiment(model=model_name, workload=workload) \
+            .run(["apparate", "two_layer"])
+        return report.result("apparate").raw, report.result("two_layer").raw
 
     apparate, two_layer = run_once(benchmark, compare)
     two_layer_summary = two_layer.summary()

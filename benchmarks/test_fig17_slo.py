@@ -8,7 +8,7 @@ queueing).  The paper shows wins shrinking as SLOs grow from 1x to 4x.
 import pytest
 
 from bench_common import pct_win, print_table, run_once
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment
 from repro.models.zoo import get_model
 from repro.workloads.nlp import make_nlp_workload
 from repro.workloads.video import make_video_workload
@@ -29,10 +29,11 @@ def test_fig17_wins_shrink_with_looser_slos(benchmark, model_name):
     def sweep():
         results = {}
         for scale in SLO_SCALES:
-            slo = base_slo * scale
-            vanilla = run_vanilla(model_name, workload, slo_ms=slo)
-            apparate = run_apparate(model_name, workload, slo_ms=slo)
-            results[scale] = (vanilla, apparate)
+            report = Experiment(model=model_name, workload=workload,
+                                slo_ms=base_slo * scale) \
+                .run(["vanilla", "apparate"])
+            results[scale] = (report.result("vanilla").raw,
+                              report.result("apparate").raw)
         return results
 
     results = run_once(benchmark, sweep)

@@ -8,9 +8,7 @@ constraint while FREE's one-time tuning loses up to 5.5 points under drift.
 import pytest
 
 from bench_common import pct_win, print_table, run_once
-from repro.baselines.free import run_free_generative
-from repro.baselines.oracle import run_optimal_generative
-from repro.core.generative import run_generative_apparate, run_generative_vanilla
+from repro.api import Experiment
 from repro.generative.sequences import make_generative_workload
 
 CASES = [
@@ -35,11 +33,9 @@ def test_fig18_generative_tpt(benchmark, model_name, dataset):
     workload = workload_for(dataset)
 
     def compare():
-        vanilla = run_generative_vanilla(model_name, workload)
-        apparate = run_generative_apparate(model_name, workload)
-        free = run_free_generative(model_name, workload)
-        optimal = run_optimal_generative(model_name, workload)
-        return vanilla, apparate, free, optimal
+        systems = ["vanilla", "apparate", "free", "optimal"]
+        report = Experiment(model=model_name, workload=workload).run(systems)
+        return tuple(report.result(system).raw for system in systems)
 
     vanilla, apparate, free, optimal = run_once(benchmark, compare)
     apparate_win = pct_win(vanilla.median_tpt(), apparate.metrics.median_tpt())

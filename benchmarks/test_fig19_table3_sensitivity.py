@@ -7,7 +7,7 @@ budgets help only marginally (diminishing returns from overlapping ramps).
 import pytest
 
 from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment
 
 ACCURACY_TARGETS = [0.01, 0.02, 0.05]
 RAMP_BUDGETS = [0.02, 0.05, 0.10]
@@ -20,9 +20,12 @@ def test_fig19_accuracy_constraint_sensitivity(benchmark, model_name):
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
     def sweep():
-        vanilla = run_vanilla(model_name, workload)
-        return vanilla, {target: run_apparate(model_name, workload, accuracy_constraint=target)
-                         for target in ACCURACY_TARGETS}
+        experiment = Experiment(model=model_name, workload=workload)
+        vanilla = experiment.run(["vanilla"]).result("vanilla").raw
+        points = experiment.sweep(systems=["apparate"],
+                                  accuracy_constraint=ACCURACY_TARGETS)
+        return vanilla, {point.params["accuracy_constraint"]:
+                         point.report.result("apparate").raw for point in points}
 
     vanilla, results = run_once(benchmark, sweep)
     rows = []
@@ -47,9 +50,11 @@ def test_table3_ramp_budget_sensitivity(benchmark, model_name):
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
     def sweep():
-        vanilla = run_vanilla(model_name, workload)
-        return vanilla, {budget: run_apparate(model_name, workload, ramp_budget=budget)
-                         for budget in RAMP_BUDGETS}
+        experiment = Experiment(model=model_name, workload=workload)
+        vanilla = experiment.run(["vanilla"]).result("vanilla").raw
+        points = experiment.sweep(systems=["apparate"], ramp_budget=RAMP_BUDGETS)
+        return vanilla, {point.params["ramp_budget"]:
+                         point.report.result("apparate").raw for point in points}
 
     vanilla, results = run_once(benchmark, sweep)
     rows = []

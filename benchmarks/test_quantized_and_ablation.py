@@ -10,7 +10,7 @@
 import pytest
 
 from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment, ExitPolicySpec
 from repro.models.quantization import quantized_spec
 from repro.models.zoo import get_model
 
@@ -24,11 +24,13 @@ def test_quantized_models_keep_most_of_the_wins(benchmark, base_name):
     base_workload = nlp_workload(base_name, "amazon")
 
     def compare():
-        vanilla_q = run_vanilla(spec, workload)
-        apparate_q = run_apparate(spec, workload)
-        vanilla_fp = run_vanilla(base_name, base_workload)
-        apparate_fp = run_apparate(base_name, base_workload)
-        return vanilla_q, apparate_q, vanilla_fp, apparate_fp
+        quantized = Experiment(model=spec, workload=workload) \
+            .run(["vanilla", "apparate"])
+        full_precision = Experiment(model=base_name, workload=base_workload) \
+            .run(["vanilla", "apparate"])
+        return (quantized.result("vanilla").raw, quantized.result("apparate").raw,
+                full_precision.result("vanilla").raw,
+                full_precision.result("apparate").raw)
 
     vanilla_q, apparate_q, vanilla_fp, apparate_fp = run_once(benchmark, compare)
     win_q = pct_win(vanilla_q.median_latency(), apparate_q.metrics.median_latency())
@@ -50,10 +52,12 @@ def test_ablation_disabling_ramp_adjustment_costs_wins(benchmark, model_name, ki
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
     def compare():
-        vanilla = run_vanilla(model_name, workload)
-        full = run_apparate(model_name, workload, ramp_adjustment_enabled=True)
-        no_adjust = run_apparate(model_name, workload, ramp_adjustment_enabled=False)
-        return vanilla, full, no_adjust
+        report = Experiment(model=model_name, workload=workload) \
+            .run(["vanilla", "apparate"])
+        no_adjust = Experiment(model=model_name, workload=workload,
+                               ee=ExitPolicySpec(ramp_adjustment_enabled=False)) \
+            .run(["apparate"]).result("apparate").raw
+        return report.result("vanilla").raw, report.result("apparate").raw, no_adjust
 
     vanilla, full, no_adjust = run_once(benchmark, compare)
     win_full = pct_win(vanilla.median_latency(), full.metrics.median_latency())

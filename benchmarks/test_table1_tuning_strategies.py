@@ -11,7 +11,8 @@ import pytest
 
 from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
 from repro.baselines.static_ee import _observation_matrices
-from repro.core.pipeline import model_stack, run_apparate, run_vanilla
+from repro.api import Experiment
+from repro.core.pipeline import model_stack
 from repro.exits._reference import mismatched_fields, reference_tune_thresholds_greedy
 from repro.exits.evaluation import evaluate_thresholds
 from repro.exits.placement import initial_ramp_selection
@@ -57,8 +58,10 @@ def test_table1_one_time_tuning_loses_accuracy(benchmark, model_name):
     def evaluate_strategies():
         initial_acc, initial_savings = one_time_strategy(model_name, workload, "initial")
         sampled_acc, sampled_savings = one_time_strategy(model_name, workload, "sampled")
-        vanilla = run_vanilla(model_name, workload)
-        continual = run_apparate(model_name, workload)
+        report = Experiment(model=model_name, workload=workload) \
+            .run(["vanilla", "apparate"])
+        vanilla = report.result("vanilla").raw
+        continual = report.result("apparate").raw
         continual_acc = continual.metrics.accuracy()
         continual_savings = pct_win(vanilla.median_latency(),
                                     continual.metrics.median_latency())

@@ -9,8 +9,8 @@ baselines does not beat Apparate's tails.
 import pytest
 
 from bench_common import cv_workload, nlp_workload, print_table, run_once
-from repro.baselines.static_ee import StaticEEVariant, run_static_ee
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment, ExitPolicySpec
+from repro.baselines.static_ee import StaticEEVariant
 from repro.exits.ramps import RampStyle
 
 CASES = {
@@ -26,11 +26,15 @@ def test_table2_static_ee_vs_apparate(benchmark, model_name):
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
     def compare():
-        vanilla = run_vanilla(model_name, workload)
-        apparate = run_apparate(model_name, workload)
-        static = {variant: run_static_ee(model_name, workload, variant, ramp_style=style)
-                  for variant in VARIANTS}
-        return vanilla, apparate, static
+        report = Experiment(model=model_name, workload=workload) \
+            .run(["vanilla", "apparate"])
+        static = {variant: Experiment(
+            model=model_name, workload=workload,
+            ee=ExitPolicySpec(ramp_style=style),
+            overrides={"static_ee": {"variant": variant}})
+            .run(["static_ee"]).result("static_ee").raw
+            for variant in VARIANTS}
+        return report.result("vanilla").raw, report.result("apparate").raw, static
 
     vanilla, apparate, static = run_once(benchmark, compare)
 

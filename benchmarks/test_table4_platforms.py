@@ -8,7 +8,7 @@ alters platform decisions.
 import pytest
 
 from bench_common import cv_workload, nlp_workload, pct_win, print_table, run_once
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment
 
 CASES = {"resnet50": ("cv", "urban-day"), "gpt2-medium": ("nlp", "amazon")}
 PLATFORMS = ["clockwork", "tfserve"]
@@ -20,12 +20,11 @@ def test_table4_platform_insensitivity(benchmark, model_name):
     workload = cv_workload(model_name, source) if kind == "cv" else nlp_workload(model_name, source)
 
     def sweep():
-        results = {}
-        for platform in PLATFORMS:
-            vanilla = run_vanilla(model_name, workload, platform=platform)
-            apparate = run_apparate(model_name, workload, platform=platform)
-            results[platform] = (vanilla, apparate)
-        return results
+        points = Experiment(model=model_name, workload=workload) \
+            .sweep(systems=["vanilla", "apparate"], platform=PLATFORMS)
+        return {point.params["platform"]: (point.report.result("vanilla").raw,
+                                           point.report.result("apparate").raw)
+                for point in points}
 
     results = run_once(benchmark, sweep)
     rows = []

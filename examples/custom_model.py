@@ -10,8 +10,7 @@ ramp budget and ramp style.
 Run:  python examples/custom_model.py
 """
 
-from repro import ModelSpec, Task, register_model
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro import ExitPolicySpec, Experiment, ModelSpec, Task, register_model
 from repro.exits.placement import build_ramp_catalog
 from repro.exits.ramps import RampStyle
 from repro.graph.builders import build_resnet
@@ -53,9 +52,12 @@ def main() -> None:
 
     # 3. Serve a workload with the custom deployment knobs.
     workload = make_video_workload("crossroads", num_frames=4000, seed=3)
-    vanilla = run_vanilla(spec, workload, slo_ms=spec.default_slo_ms)
-    apparate = run_apparate(spec, workload, slo_ms=spec.default_slo_ms,
-                            accuracy_constraint=0.02, ramp_budget=0.03)
+    report = Experiment(model=spec, workload=workload, slo_ms=spec.default_slo_ms,
+                        ee=ExitPolicySpec(accuracy_constraint=0.02,
+                                          ramp_budget=0.03)) \
+        .run(["vanilla", "apparate"])
+    vanilla = report.result("vanilla").raw
+    apparate = report.result("apparate").raw
     win = 100.0 * (vanilla.median_latency() - apparate.metrics.median_latency()) \
         / vanilla.median_latency()
     print(f"\nmedian latency: {vanilla.median_latency():.2f} ms -> "

@@ -11,9 +11,7 @@ FREE's static tuning may not.
 Run:  python examples/generative_llm.py
 """
 
-from repro.baselines.free import run_free_generative
-from repro.baselines.oracle import run_optimal_generative
-from repro.core.generative import run_generative_apparate, run_generative_vanilla
+from repro.api import Experiment
 from repro.generative.sequences import make_generative_workload
 
 CASES = [
@@ -30,10 +28,12 @@ def main() -> None:
     for model, dataset in CASES:
         workload = make_generative_workload(dataset, num_sequences=150, rate_qps=2.0,
                                             seed=5, drift_amplitude=0.3, drift_mode="trend")
-        vanilla = run_generative_vanilla(model, workload)
-        apparate = run_generative_apparate(model, workload)
-        free = run_free_generative(model, workload)
-        optimal = run_optimal_generative(model, workload)
+        report = Experiment(model=model, workload=workload) \
+            .run(["vanilla", "apparate", "free", "optimal"])
+        vanilla = report.result("vanilla").raw
+        apparate = report.result("apparate").raw
+        free = report.result("free").raw
+        optimal = report.result("optimal").raw
 
         win = 100.0 * (vanilla.median_tpt() - apparate.metrics.median_tpt()) \
             / vanilla.median_tpt()

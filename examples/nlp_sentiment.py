@@ -11,8 +11,7 @@ while the cascade suffers on tail latency.
 Run:  python examples/nlp_sentiment.py
 """
 
-from repro.baselines.two_layer import run_two_layer
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment
 from repro.workloads import make_nlp_workload
 
 CASES = [
@@ -30,9 +29,11 @@ def main() -> None:
           f"{'win %':>7s} {'2-layer p95':>12s} {'Apparate p95':>13s} {'accuracy':>9s}")
     for model, dataset, rate in CASES:
         workload = make_nlp_workload(dataset, num_requests=NUM_REQUESTS, rate_qps=rate, seed=11)
-        vanilla = run_vanilla(model, workload)
-        apparate = run_apparate(model, workload)
-        two_layer = run_two_layer(model, workload)
+        report = Experiment(model=model, workload=workload) \
+            .run(["vanilla", "apparate", "two_layer"])
+        vanilla = report.result("vanilla").raw
+        apparate = report.result("apparate").raw
+        two_layer = report.result("two_layer").raw
 
         win = 100.0 * (vanilla.median_latency() - apparate.metrics.median_latency()) \
             / vanilla.median_latency()

@@ -11,8 +11,7 @@ Run:  python examples/video_analytics.py
 
 import numpy as np
 
-from repro.baselines.oracle import run_optimal_classification
-from repro.core.pipeline import run_apparate, run_vanilla
+from repro.api import Experiment
 from repro.workloads import make_video_workload
 
 MODELS = ["resnet18", "resnet50", "vgg13"]
@@ -26,9 +25,11 @@ def main() -> None:
     for model in MODELS:
         for scene in SCENES:
             workload = make_video_workload(scene, num_frames=NUM_FRAMES, seed=7)
-            vanilla = run_vanilla(model, workload)
-            apparate = run_apparate(model, workload)
-            optimal = run_optimal_classification(model, workload)
+            report = Experiment(model=model, workload=workload) \
+                .run(["vanilla", "apparate", "optimal"])
+            vanilla = report.result("vanilla").raw
+            apparate = report.result("apparate").raw
+            optimal = report.result("optimal").raw
 
             win = 100.0 * (vanilla.median_latency() - apparate.metrics.median_latency()) \
                 / vanilla.median_latency()

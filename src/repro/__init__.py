@@ -19,7 +19,7 @@ configuration and compares them:
 >>> sweep = exp.sweep(replicas=[1, 2, 4])                  # doctest: +SKIP
 
 The object API (:class:`Apparate`) mirrors the paper's register/serve
-workflow, and the ``run_*`` helpers remain as shims over the registry.
+workflow.  ``Experiment`` is the one way to run a registered system.
 
 Every serving platform — the classification cluster, the generative
 continuous-batching cluster and the disaggregated prefill/decode pools —
@@ -40,14 +40,6 @@ from repro.core import (
     FleetController,
     GenerativeRunResult,
     GenerativeClusterRunResult,
-    run_apparate,
-    run_vanilla,
-    run_apparate_cluster,
-    run_vanilla_cluster,
-    run_generative_apparate,
-    run_generative_vanilla,
-    run_generative_apparate_cluster,
-    run_generative_vanilla_cluster,
 )
 from repro.models import ModelSpec, Task, get_model, list_models, register_model
 from repro.api import (
@@ -82,14 +74,6 @@ __all__ = [
     "FleetController",
     "GenerativeRunResult",
     "GenerativeClusterRunResult",
-    "run_apparate",
-    "run_vanilla",
-    "run_apparate_cluster",
-    "run_vanilla_cluster",
-    "run_generative_apparate",
-    "run_generative_vanilla",
-    "run_generative_apparate_cluster",
-    "run_generative_vanilla_cluster",
     "ModelSpec",
     "Task",
     "get_model",

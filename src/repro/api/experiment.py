@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Union)
@@ -27,7 +28,7 @@ from repro.api.registry import canonical_system_name, get_system
 from repro.api.result import (KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE,
                               KIND_GENERATIVE_CLUSTER, KIND_GENERATIVE_DISAGG,
                               RunReport, RunResult, SweepPoint, SweepReport)
-from repro.api.specs import ClusterSpec, ExitPolicySpec, WorkloadSpec
+from repro.api.specs import ClusterSpec, ExitPolicySpec, WorkloadSpec, _integer
 from repro.models.zoo import ModelSpec, get_model
 
 __all__ = ["Experiment", "DEFAULT_SYSTEMS"]
@@ -83,7 +84,8 @@ class Experiment:
     platform:
         Serving platform name (``clockwork`` or ``tfserve``).
     slo_ms:
-        Response-time SLO; ``None`` uses the model's default.
+        Response-time SLO in ms, finite and positive; ``None`` uses the
+        model's default.
     max_batch_size:
         ``None`` selects the per-kind default (16 classification, 8 generative).
     overrides:
@@ -114,6 +116,14 @@ class Experiment:
 
     def __post_init__(self) -> None:
         resolve_model(self.model)
+        if self.slo_ms is not None and not (math.isfinite(self.slo_ms)
+                                            and self.slo_ms > 0):
+            raise ValueError(f"slo_ms must be positive and finite, "
+                             f"got {self.slo_ms}")
+        self.seed = _integer("seed", self.seed)
+        if self.max_batch_size is not None:
+            self.max_batch_size = _integer("max_batch_size",
+                                           self.max_batch_size)
 
     # ------------------------------------------------------------ properties
     @property
@@ -192,7 +202,7 @@ class Experiment:
         return merged
 
     def batch_size(self, default: int) -> int:
-        return int(self.max_batch_size) if self.max_batch_size is not None else default
+        return self.max_batch_size if self.max_batch_size is not None else default
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe snapshot of the experiment configuration."""
@@ -200,10 +210,9 @@ class Experiment:
             "model": self.spec.name,
             "kind": self.kind,
             "platform": self.platform,
-            "seed": int(self.seed),
+            "seed": self.seed,
             "slo_ms": self.resolved_slo_ms(),
-            "max_batch_size": None if self.max_batch_size is None
-            else int(self.max_batch_size),
+            "max_batch_size": self.max_batch_size,
             "drop_expired": bool(self.drop_expired),
         }
         if isinstance(self.workload, WorkloadSpec):

@@ -4,12 +4,13 @@ Every comparable system (Apparate, vanilla, the paper's baselines, future
 ROADMAP systems) registers once under a short name with the experiment kinds
 it supports.  ``Experiment.run(systems=[...])``, the CLI's ``--systems`` flag
 and the benchmarks all resolve systems through this registry, so adding a new
-system is one ``@register_system`` decorator — not an eleventh ad-hoc
-``run_*`` function threaded through every front end.
+system is one ``@register_system`` decorator, reachable from every front
+end at once.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -28,8 +29,9 @@ _ALL_KINDS = (KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE,
 class SystemRunner:
     """A registered serving system: name, supported kinds, and the runner.
 
-    ``fn`` takes the experiment plus any per-system override keywords and
-    returns a :class:`~repro.api.result.RunResult` in the shared schema.
+    ``fn`` takes the experiment plus the per-system override keywords its
+    signature names, and returns a :class:`~repro.api.result.RunResult` in
+    the shared schema.
     """
 
     name: str
@@ -40,7 +42,7 @@ class SystemRunner:
     def supports(self, kind: str) -> bool:
         return kind in self.kinds
 
-    def run(self, experiment, **overrides) -> RunResult:
+    def run(self, experiment) -> RunResult:
         """Run the system on ``experiment`` after checking kind support."""
         kind = experiment.kind
         if not self.supports(kind):
@@ -51,17 +53,16 @@ class SystemRunner:
                 f"system {self.name!r} does not support {kind} experiments "
                 f"(model {experiment.spec.name!r}; {self.name!r} supports: "
                 f"{sorted(self.kinds)})")
-        merged = dict(experiment.overrides_for(self.name))
-        merged.update(overrides)
+        overrides = experiment.overrides_for(self.name)
         try:
-            return self.fn(experiment, **merged)
+            inspect.signature(self.fn).bind(experiment, **overrides)
         except TypeError as exc:
-            # A keyword the runner does not understand is a configuration
-            # error, and the API boundary reports those as ValueError.
-            if merged and "unexpected keyword argument" in str(exc):
-                raise ValueError(f"invalid override for system {self.name!r} "
-                                 f"({sorted(merged)}): {exc}") from exc
-            raise
+            # A keyword the runner does not name (or one repeating the
+            # experiment) is a configuration error, and the API boundary
+            # reports those as ValueError.
+            raise ValueError(f"invalid override for system {self.name!r} "
+                             f"({sorted(overrides)}): {exc}") from None
+        return self.fn(experiment, **overrides)
 
 
 _REGISTRY: Dict[str, SystemRunner] = {}

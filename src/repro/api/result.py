@@ -2,7 +2,7 @@
 
 Every registered system returns a :class:`RunResult` with the same shape —
 a named-metric ``summary`` dict plus JSON-safe ``params``/``details`` and the
-legacy result object under ``raw`` — so comparison tables, sweeps, benchmarks
+system's own result object under ``raw`` — so comparison tables, sweeps, benchmarks
 and the CLI's ``--json`` mode all consume one schema instead of each system's
 ad-hoc return type.
 """
@@ -125,8 +125,8 @@ class RunResult:
 
     ``summary`` holds the named metric keys (floats); ``details`` holds
     JSON-safe extras (per-replica dispatch counts, tuned thresholds, …);
-    ``raw`` keeps the system's legacy result object for code that wants the
-    full surface (and for the ``run_*`` shims, which return it).
+    ``raw`` keeps the system's own result object (serving metrics, the
+    controller or token policies) for code that wants the full surface.
 
     ``trace`` holds the live :class:`~repro.obs.TraceRecorder` when the
     experiment ran with ``trace=...`` (``None`` otherwise) — feed it to

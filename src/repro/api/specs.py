@@ -14,6 +14,7 @@ and every front end (Python API, CLI, benchmarks) reports the same error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -35,6 +36,31 @@ __all__ = ["WorkloadSpec", "ClusterSpec", "ExitPolicySpec", "TraceSpec",
 
 #: Workload families an experiment can declare.
 WORKLOAD_KINDS = ("video", "nlp", "generative")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``.  NaN, infinite and fractional values raise a
+    :class:`ValueError` naming the field; integral floats such as ``2000.0``
+    pass."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not number.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _coerce_integers(spec, names: Sequence[str]) -> None:
+    """Replace each named field of a frozen spec, unless ``None``, with its
+    :func:`_integer` value."""
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None:
+            object.__setattr__(spec, name, _integer(name, value))
+
 
 #: Default per-kind sources and arrival rates (mirroring the CLI defaults).
 _KIND_DEFAULTS = {
@@ -98,7 +124,9 @@ class WorkloadSpec:
         if self.kind not in WORKLOAD_KINDS:
             raise ValueError(f"unknown workload kind {self.kind!r}; "
                              f"choose from {WORKLOAD_KINDS}")
-        if int(self.requests) < 1:
+        _coerce_integers(self, ("requests", "seed", "prefix_groups",
+                                "prefix_tokens"))
+        if self.requests < 1:
             raise ValueError(f"requests must be >= 1, got {self.requests}")
         if self.rate is not None and not (math.isfinite(self.rate)
                                           and self.rate > 0):
@@ -109,17 +137,17 @@ class WorkloadSpec:
             # silently ignored.
             raise ValueError("arrival_process only applies to nlp and "
                              "generative workloads, not kind='video'")
-        if int(self.prefix_groups) < 0:
+        if self.prefix_groups < 0:
             raise ValueError(f"prefix_groups must be >= 0, "
                              f"got {self.prefix_groups}")
-        if int(self.prefix_groups) > 0:
+        if self.prefix_groups > 0:
             if self.kind != "generative":
                 raise ValueError("prefix_groups only applies to generative "
                                  f"workloads, not kind={self.kind!r}")
             if not 0.0 < float(self.prefix_share) <= 1.0:
                 raise ValueError(f"prefix_share must be in (0, 1], "
                                  f"got {self.prefix_share}")
-            if int(self.prefix_tokens) < 1:
+            if self.prefix_tokens < 1:
                 raise ValueError(f"prefix_tokens must be >= 1, "
                                  f"got {self.prefix_tokens}")
 
@@ -185,24 +213,24 @@ class WorkloadSpec:
                                         arrival_process=self.arrival_process
                                         or "poisson",
                                         preset_overrides=self.overrides,
-                                        prefix_groups=int(self.prefix_groups),
+                                        prefix_groups=self.prefix_groups,
                                         prefix_share=float(self.prefix_share),
-                                        prefix_tokens=int(self.prefix_tokens))
+                                        prefix_tokens=self.prefix_tokens)
 
     def describe(self) -> Dict[str, object]:
         data: Dict[str, object] = {
             "kind": self.kind,
             "source": self.resolved_source(),
-            "requests": int(self.requests),
+            "requests": self.requests,
             "rate": self.resolved_rate(),
         }
         if self.arrival_process is not None:
             data["arrival_process"] = self.arrival_process
-        if int(self.prefix_groups) > 0:
+        if self.prefix_groups > 0:
             data.update({
-                "prefix_groups": int(self.prefix_groups),
+                "prefix_groups": self.prefix_groups,
                 "prefix_share": float(self.prefix_share),
-                "prefix_tokens": int(self.prefix_tokens),
+                "prefix_tokens": self.prefix_tokens,
             })
         return data
 
@@ -306,14 +334,21 @@ class ClusterSpec:
                  "decode_min_replicas", "decode_max_replicas",
                  "prefill_profiles", "decode_profiles")
 
+    #: every integer field, validated and coerced by :func:`_integer`.
+    INT_KEYS = ("replicas", "sync_period", "min_replicas", "max_replicas",
+                "prefill_replicas", "decode_replicas", "prefill_min_replicas",
+                "prefill_max_replicas", "decode_min_replicas",
+                "decode_max_replicas")
+
     def __post_init__(self) -> None:
-        if int(self.replicas) < 1:
+        _coerce_integers(self, self.INT_KEYS)
+        if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         canonical_balancer_name(self.balancer)   # raises on unknown names
         if self.fleet_mode not in FleetController.MODES:
             raise ValueError(f"unknown fleet mode {self.fleet_mode!r}; "
                              f"choose from {tuple(FleetController.MODES)}")
-        if int(self.sync_period) < 1:
+        if self.sync_period < 1:
             raise ValueError(f"sync_period must be >= 1, got {self.sync_period}")
         if self.autoscaler is None:
             object.__setattr__(self, "autoscaler", "none")
@@ -321,12 +356,12 @@ class ClusterSpec:
         if self.profiles is not None:
             object.__setattr__(self, "profiles",
                                self._coerce_profiles("profiles", self.profiles,
-                                                     int(self.replicas)))
+                                                     self.replicas))
         if self.min_replicas is not None \
-                and not 1 <= int(self.min_replicas) <= int(self.replicas):
+                and not 1 <= self.min_replicas <= self.replicas:
             raise ValueError(f"min_replicas must be in [1, replicas="
                              f"{self.replicas}], got {self.min_replicas}")
-        if self.max_replicas is not None and int(self.max_replicas) < int(self.replicas):
+        if self.max_replicas is not None and self.max_replicas < self.replicas:
             raise ValueError(f"max_replicas must be >= replicas="
                              f"{self.replicas}, got {self.max_replicas}")
         if self.tenant_policy not in TENANT_POLICIES:
@@ -380,7 +415,7 @@ class ClusterSpec:
                              "be combined with disaggregate=True")
         for name in ("prefill_replicas", "decode_replicas"):
             value = getattr(self, name)
-            if value is not None and int(value) < 1:
+            if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         for name in ("prefill_balancer", "decode_balancer"):
             value = getattr(self, name)
@@ -403,10 +438,10 @@ class ClusterSpec:
                 else self.resolved_decode_replicas()
             low = getattr(self, low_name)
             high = getattr(self, high_name)
-            if low is not None and not 1 <= int(low) <= pool:
+            if low is not None and not 1 <= low <= pool:
                 raise ValueError(f"{low_name} must be in [1, {pool_name} "
                                  f"pool={pool}], got {low}")
-            if high is not None and int(high) < pool:
+            if high is not None and high < pool:
                 raise ValueError(f"{high_name} must be >= the {pool_name} "
                                  f"pool size ({pool}), got {high}")
 
@@ -419,26 +454,26 @@ class ClusterSpec:
     def resolved_min_replicas(self) -> int:
         """The lower fleet bound (frozen at ``replicas`` without a scaler)."""
         if self.min_replicas is not None:
-            return int(self.min_replicas)
-        return int(self.replicas) if self.autoscaler_name() == "none" else 1
+            return self.min_replicas
+        return self.replicas if self.autoscaler_name() == "none" else 1
 
     def resolved_max_replicas(self) -> int:
         """The upper fleet bound (defaults to ``2 * replicas`` with a scaler)."""
         if self.max_replicas is not None:
-            return int(self.max_replicas)
-        return int(self.replicas) if self.autoscaler_name() == "none" \
-            else 2 * int(self.replicas)
+            return self.max_replicas
+        return self.replicas if self.autoscaler_name() == "none" \
+            else 2 * self.replicas
 
     # ------------------------------------------------------ disaggregated pools
     def resolved_prefill_replicas(self) -> int:
         """Initial prefill pool size (defaults to the fleet-wide count)."""
-        return int(self.prefill_replicas) if self.prefill_replicas is not None \
-            else int(self.replicas)
+        return self.prefill_replicas if self.prefill_replicas is not None \
+            else self.replicas
 
     def resolved_decode_replicas(self) -> int:
         """Initial decode pool size (defaults to the fleet-wide count)."""
-        return int(self.decode_replicas) if self.decode_replicas is not None \
-            else int(self.replicas)
+        return self.decode_replicas if self.decode_replicas is not None \
+            else self.replicas
 
     def prefill_balancer_name(self) -> str:
         return canonical_balancer_name(self.prefill_balancer
@@ -462,9 +497,9 @@ class ClusterSpec:
 
     def _pool_band(self, pool: int, scaler: str, lower: Optional[int],
                    upper: Optional[int]) -> Tuple[int, int]:
-        low = int(lower) if lower is not None \
+        low = lower if lower is not None \
             else (pool if scaler == "none" else 1)
-        high = int(upper) if upper is not None \
+        high = upper if upper is not None \
             else (pool if scaler == "none" else 2 * pool)
         return low, high
 
@@ -484,10 +519,10 @@ class ClusterSpec:
 
     def describe(self) -> Dict[str, object]:
         data: Dict[str, object] = {
-            "replicas": int(self.replicas),
+            "replicas": self.replicas,
             "balancer": self.balancer_name(),
             "fleet_mode": self.fleet_mode,
-            "sync_period": int(self.sync_period),
+            "sync_period": self.sync_period,
             "autoscaler": self.autoscaler_name(),
             "disaggregate": bool(self.disaggregate),
         }
@@ -560,7 +595,8 @@ class ExitPolicySpec:
         object.__setattr__(self, "ramp_style", style)
         if self.initial_ramp_ids is not None:
             object.__setattr__(self, "initial_ramp_ids",
-                               tuple(int(r) for r in self.initial_ramp_ids))
+                               tuple(_integer("initial_ramp_ids", r)
+                                     for r in self.initial_ramp_ids))
 
     def describe(self) -> Dict[str, object]:
         return {

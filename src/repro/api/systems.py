@@ -7,13 +7,15 @@ vanilla, and the paper's baselines) to the registry contract: take an
 generative_disagg), and return a :class:`~repro.api.result.RunResult` in
 the shared schema.  A single-replica kind runs the same fleet
 implementation as its cluster kind on a one-replica pool and reports that
-replica's own result.  The legacy ``run_*`` entry points are thin shims
-over these registrations.
+replica's own result.  Every generative system serves through one pool
+path, :func:`_serve_generative`, and supplies only its token policy and
+ramp overhead.  A system's per-run knobs come from the experiment; the
+only per-system override left is ``static_ee``'s ``variant``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -22,23 +24,26 @@ from repro.api.result import (KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE
                               KIND_GENERATIVE_CLUSTER, KIND_GENERATIVE_DISAGG,
                               RunResult)
 from repro.api.specs import ClusterSpec
-from repro.baselines.free import (_free_generative_cluster_impl,
-                                  _free_generative_disagg_impl)
+from repro.baselines.free import _calibrated_free_policy
 from repro.baselines.oracle import (_optimal_classification_impl,
-                                    _optimal_generative_cluster_impl,
-                                    _optimal_generative_disagg_impl)
+                                    _oracle_token_policy)
 from repro.baselines.static_ee import StaticEEVariant, _static_ee_impl
 from repro.baselines.two_layer import _two_layer_impl
-from repro.core.generative import (GenerativeRunResult,
-                                   _generative_apparate_cluster_impl,
-                                   _generative_apparate_disagg_impl,
-                                   _generative_vanilla_cluster_impl,
-                                   _generative_vanilla_disagg_impl)
+from repro.core.generative import (ApparateTokenPolicy,
+                                   GenerativeClusterRunResult,
+                                   GenerativeRunResult,
+                                   build_disaggregated_platform,
+                                   build_generative_cluster,
+                                   generative_ramp_depths)
 from repro.core.pipeline import (ApparateRunResult, _apparate_cluster_impl,
                                  _vanilla_cluster_impl)
+from repro.exits.ramps import RampStyle, ramp_overhead_fraction
+from repro.models.prediction import PredictionModel
 from repro.obs import build_recorder
 from repro.serving.disagg import DisaggregatedMetrics
-from repro.serving.generative_cluster import GenerativeClusterMetrics
+from repro.serving.generative_cluster import (GenerativeClusterMetrics,
+                                              PolicyFactory)
+from repro.serving.hf_pipelines import VanillaTokenPolicy
 from repro.serving.metrics import ClusterMetrics, FleetMetrics
 
 __all__ = ["REGISTERED_SYSTEMS"]
@@ -197,6 +202,28 @@ def _disagg_kwargs(experiment) -> Dict[str, Any]:
     }
 
 
+def _serve_generative(experiment, obs, ramp_overhead: float,
+                      policy_factory: PolicyFactory):
+    """Serve a generative experiment on its pool with ``policy_factory``.
+
+    A disaggregated experiment runs on prefill + decode pools; any other
+    generative experiment runs on a continuous-batching cluster (one
+    replica when it has no ClusterSpec).  ``ramp_overhead`` is the decode
+    step's ramp cost as a fraction of the step.
+    """
+    if experiment.kind == KIND_GENERATIVE_DISAGG:
+        pool = build_disaggregated_platform(experiment.spec,
+                                            ramp_overhead=ramp_overhead,
+                                            **_disagg_kwargs(experiment),
+                                            obs=obs)
+    else:
+        pool = build_generative_cluster(experiment.spec,
+                                        ramp_overhead=ramp_overhead,
+                                        **_generative_cluster_kwargs(experiment),
+                                        obs=obs)
+    return pool.run(experiment.workload_obj(), policy_factory)
+
+
 def _pool_result(experiment, system: str, metrics, trace) -> RunResult:
     """Report a pool run whose raw outcome is its metrics: the fleet rollups
     for a cluster experiment, the one replica's own metrics otherwise."""
@@ -218,20 +245,17 @@ def _pool_result(experiment, system: str, metrics, trace) -> RunResult:
            KIND_GENERATIVE_CLUSTER, KIND_GENERATIVE_DISAGG),
     description="the original model with no early exits (the paper's baseline)",
     aliases=("baseline",))
-def _vanilla_system(experiment, **kw) -> RunResult:
+def _vanilla_system(experiment) -> RunResult:
     obs = _recorder_for(experiment)
-    if experiment.kind == KIND_GENERATIVE_DISAGG:
-        metrics = _generative_vanilla_disagg_impl(
-            experiment.spec, experiment.workload_obj(),
-            **_disagg_kwargs(experiment), obs=obs, **kw)
-    elif experiment.is_generative:
-        metrics = _generative_vanilla_cluster_impl(
-            experiment.spec, experiment.workload_obj(),
-            **_generative_cluster_kwargs(experiment), obs=obs, **kw)
+    if experiment.is_generative:
+        # The vanilla policy is stateless: every replica (including
+        # scaled-out ones) shares it.
+        policy = VanillaTokenPolicy()
+        metrics = _serve_generative(experiment, obs, 0.0,
+                                    lambda ordinal: policy)
     else:
         metrics = _vanilla_cluster_impl(experiment.spec, experiment.workload_obj(),
-                                        **_cluster_kwargs(experiment), obs=obs,
-                                        **kw)
+                                        **_cluster_kwargs(experiment), obs=obs)
     return _pool_result(experiment, "vanilla", metrics, obs)
 
 
@@ -240,21 +264,32 @@ def _vanilla_system(experiment, **kw) -> RunResult:
     kinds=(KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE,
            KIND_GENERATIVE_CLUSTER, KIND_GENERATIVE_DISAGG),
     description="Apparate: adaptive early exits managed at runtime (the system)")
-def _apparate_system(experiment, **kw) -> RunResult:
+def _apparate_system(experiment) -> RunResult:
     ee = experiment.ee
     cluster = _pool(experiment)
     obs = _recorder_for(experiment)
     if experiment.is_generative:
-        if experiment.kind == KIND_GENERATIVE_DISAGG:
-            impl, pool_kwargs = (_generative_apparate_disagg_impl,
-                                 _disagg_kwargs(experiment))
-        else:
-            impl, pool_kwargs = (_generative_apparate_cluster_impl,
-                                 _generative_cluster_kwargs(experiment))
-        outcome = impl(experiment.spec, experiment.workload_obj(),
-                       fleet_mode=cluster.fleet_mode,
-                       accuracy_constraint=ee.accuracy_constraint,
-                       **pool_kwargs, obs=obs, **kw)
+        spec = experiment.spec
+        prediction = PredictionModel(spec, seed=experiment.seed)
+        depths = generative_ramp_depths(spec, seed=experiment.seed)
+        # One adaptive token policy per decode replica, or in shared mode
+        # one fleet-wide policy fed by every replica's token feedback.
+        shared = ApparateTokenPolicy(
+            prediction, depths, accuracy_constraint=ee.accuracy_constraint) \
+            if cluster.fleet_mode == "shared" else None
+        policies: List[ApparateTokenPolicy] = []
+
+        def policy_factory(ordinal: int) -> ApparateTokenPolicy:
+            policy = shared if shared is not None else ApparateTokenPolicy(
+                prediction, depths, accuracy_constraint=ee.accuracy_constraint)
+            policies.append(policy)
+            return policy
+
+        metrics = _serve_generative(
+            experiment, obs, ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD),
+            policy_factory)
+        outcome = GenerativeClusterRunResult(metrics=metrics, policies=policies,
+                                             fleet_mode=cluster.fleet_mode)
         if experiment.cluster is None:
             policy = outcome.policies[0]
             single = GenerativeRunResult(metrics=outcome.metrics.aggregate(),
@@ -278,7 +313,7 @@ def _apparate_system(experiment, **kw) -> RunResult:
         ramp_budget=ee.ramp_budget, ramp_style=ee.ramp_style,
         ramp_adjustment_enabled=ee.ramp_adjustment_enabled,
         initial_ramp_ids=ee.initial_ramp_ids,
-        **_cluster_kwargs(experiment), obs=obs, **kw)
+        **_cluster_kwargs(experiment), obs=obs)
     if experiment.cluster is None:
         controller = outcome.fleet.primary()
         single = ApparateRunResult(metrics=outcome.metrics.aggregate(),
@@ -303,8 +338,8 @@ def _apparate_system(experiment, **kw) -> RunResult:
     kinds=(KIND_CLASSIFICATION,),
     description="BranchyNet/DeeBERT-style static early exits, one-time tuning",
     aliases=("static",))
-def _static_ee_system(experiment, variant=StaticEEVariant.SHARED,
-                      **kw) -> RunResult:
+def _static_ee_system(experiment,
+                      variant=StaticEEVariant.SHARED) -> RunResult:
     obs = _recorder_for(experiment)
     outcome = _static_ee_impl(experiment.spec, experiment.workload_obj(),
                               variant=StaticEEVariant(variant),
@@ -313,7 +348,7 @@ def _static_ee_system(experiment, variant=StaticEEVariant.SHARED,
                               slo_ms=experiment.slo_ms,
                               accuracy_constraint=experiment.ee.accuracy_constraint,
                               max_batch_size=experiment.batch_size(_CLASSIFY_BATCH),
-                              seed=experiment.seed, obs=obs, **kw)
+                              seed=experiment.seed, obs=obs)
     return _result(experiment, "static_ee", KIND_CLASSIFICATION, outcome.summary(),
                    raw=outcome,
                    details={"variant": StaticEEVariant(variant).value,
@@ -326,14 +361,14 @@ def _static_ee_system(experiment, variant=StaticEEVariant.SHARED,
     "two_layer",
     kinds=(KIND_CLASSIFICATION,),
     description="two-layer cascade (Tabi/FilterForward): compressed model + escalation")
-def _two_layer_system(experiment, **kw) -> RunResult:
+def _two_layer_system(experiment) -> RunResult:
     obs = _recorder_for(experiment)
     outcome = _two_layer_impl(experiment.spec, experiment.workload_obj(),
                               platform=experiment.platform,
                               slo_ms=experiment.slo_ms,
                               accuracy_constraint=experiment.ee.accuracy_constraint,
                               max_batch_size=experiment.batch_size(_CLASSIFY_BATCH),
-                              seed=experiment.seed, obs=obs, **kw)
+                              seed=experiment.seed, obs=obs)
     return _result(experiment, "two_layer", KIND_CLASSIFICATION, outcome.summary(),
                    raw=outcome, trace=obs)
 
@@ -342,18 +377,17 @@ def _two_layer_system(experiment, **kw) -> RunResult:
     "free",
     kinds=(KIND_GENERATIVE, KIND_GENERATIVE_CLUSTER, KIND_GENERATIVE_DISAGG),
     description="FREE (Bae et al.): one fixed generative ramp, no runtime adaptation")
-def _free_system(experiment, **kw) -> RunResult:
+def _free_system(experiment) -> RunResult:
     obs = _recorder_for(experiment)
-    if experiment.kind == KIND_GENERATIVE_DISAGG:
-        metrics = _free_generative_disagg_impl(
-            experiment.spec, experiment.workload_obj(),
-            accuracy_constraint=experiment.ee.accuracy_constraint,
-            **_disagg_kwargs(experiment), obs=obs, **kw)
-    else:
-        metrics = _free_generative_cluster_impl(
-            experiment.spec, experiment.workload_obj(),
-            accuracy_constraint=experiment.ee.accuracy_constraint,
-            **_generative_cluster_kwargs(experiment), obs=obs, **kw)
+    # One (depth, threshold) pair calibrated once on the leading workload
+    # slice, then deployed frozen on every decode replica.
+    policy = _calibrated_free_policy(experiment.spec, experiment.workload_obj(),
+                                     experiment.ee.accuracy_constraint,
+                                     experiment.seed)
+    metrics = _serve_generative(
+        experiment, obs,
+        ramp_overhead_fraction(experiment.spec, RampStyle.DECODE_HEAD),
+        lambda ordinal: policy)
     return _pool_result(experiment, "free", metrics, obs)
 
 
@@ -363,17 +397,13 @@ def _free_system(experiment, **kw) -> RunResult:
            KIND_GENERATIVE_DISAGG),
     description="optimal oracle: every input exits at its earliest correct ramp",
     aliases=("oracle",))
-def _optimal_system(experiment, **kw) -> RunResult:
+def _optimal_system(experiment) -> RunResult:
     obs = _recorder_for(experiment)
-    if experiment.kind == KIND_GENERATIVE_DISAGG:
-        metrics = _optimal_generative_disagg_impl(
-            experiment.spec, experiment.workload_obj(),
-            **_disagg_kwargs(experiment), obs=obs, **kw)
-        return _pool_result(experiment, "optimal", metrics, obs)
     if experiment.is_generative:
-        metrics = _optimal_generative_cluster_impl(
-            experiment.spec, experiment.workload_obj(),
-            **_generative_cluster_kwargs(experiment), obs=obs, **kw)
+        # Every token exits at its earliest correct ramp with zero overhead.
+        policy = _oracle_token_policy(experiment.spec, experiment.seed)
+        metrics = _serve_generative(experiment, obs, 0.0,
+                                    lambda ordinal: policy)
         return _pool_result(experiment, "optimal", metrics, obs)
     # Classification spans record the replayed vanilla timeline (the oracle
     # discounts its latencies analytically) — see _optimal_classification_impl.
@@ -381,7 +411,7 @@ def _optimal_system(experiment, **kw) -> RunResult:
         experiment.spec, experiment.workload_obj(),
         platform=experiment.platform, slo_ms=experiment.slo_ms,
         max_batch_size=experiment.batch_size(_CLASSIFY_BATCH),
-        seed=experiment.seed, drop_expired=experiment.drop_expired, obs=obs, **kw)
+        seed=experiment.seed, drop_expired=experiment.drop_expired, obs=obs)
     summary = _latency_summary(latencies)
     return _result(experiment, "optimal", KIND_CLASSIFICATION, summary,
                    raw=latencies, trace=obs)

@@ -17,15 +17,13 @@ import numpy as np
 
 from repro.core.pipeline import Workload, _vanilla_cluster_impl, model_stack
 from repro.generative.parallel import TokenFeedback
-from repro.generative.sequences import GenerativeWorkload
 from repro.models.prediction import PredictionModel
-from repro.models.zoo import ModelSpec, get_model
-from repro.serving.hf_pipelines import GenerativeMetrics, TokenDecision
+from repro.models.zoo import ModelSpec
+from repro.serving.hf_pipelines import TokenDecision
 from repro.serving.metrics import ServingMetrics
 from repro.workloads.difficulty import DifficultyTrace
 
-__all__ = ["optimal_exit_depths", "optimal_latencies", "run_optimal_classification",
-           "OracleTokenPolicy", "run_optimal_generative"]
+__all__ = ["optimal_exit_depths", "optimal_latencies", "OracleTokenPolicy"]
 
 
 def optimal_exit_depths(trace: DifficultyTrace, prediction: PredictionModel,
@@ -82,19 +80,6 @@ def _optimal_classification_impl(model: Union[str, ModelSpec], workload: Workloa
                              [r.depth_fraction for r in catalog.ramps])
 
 
-def run_optimal_classification(model: Union[str, ModelSpec], workload: Workload,
-                               platform: str = "clockwork", slo_ms: Optional[float] = None,
-                               max_batch_size: int = 16, seed: int = 0) -> np.ndarray:
-    """Run vanilla serving and return per-request latencies under optimal exits.
-
-    Equivalent to ``Experiment(...).run(systems=["optimal"])``.
-    """
-    from repro.api import Experiment
-    experiment = Experiment(model=model, workload=workload, platform=platform,
-                            slo_ms=slo_ms, max_batch_size=max_batch_size, seed=seed)
-    return experiment.run(["optimal"]).result("optimal").raw
-
-
 class OracleTokenPolicy:
     """Generative oracle: exit every token at its earliest correct ramp."""
 
@@ -116,61 +101,7 @@ class OracleTokenPolicy:
 
 
 def _oracle_token_policy(spec: ModelSpec, seed: int) -> "OracleTokenPolicy":
+    """The generative oracle's policy, shared by every decode replica."""
     prediction = PredictionModel(spec, seed=seed)
     _spec, _profile, _prediction, catalog, _executor = model_stack(spec, seed=seed)
     return OracleTokenPolicy(prediction, [r.depth_fraction for r in catalog.ramps])
-
-
-def _optimal_generative_cluster_impl(model: Union[str, ModelSpec],
-                                     workload: GenerativeWorkload,
-                                     replicas: int = 2, balancer="round_robin",
-                                     max_batch_size: int = 8, seed: int = 0,
-                                     autoscaler="none", min_replicas=None,
-                                     max_replicas=None, profiles=None,
-                                     prefill_in_slot: bool = False,
-                                     ttft_slo_ms: Optional[float] = None,
-                                     tenancy=None, faults=None,
-                                     kv_capacity=None, obs=None):
-    """The generative oracle at fleet scale: every token on every replica
-    exits at its earliest correct ramp with zero overhead."""
-    from repro.core.generative import build_generative_cluster
-    spec = get_model(model) if isinstance(model, str) else model
-    policy = _oracle_token_policy(spec, seed)
-    cluster = build_generative_cluster(spec, replicas, balancer=balancer,
-                                       max_batch_size=max_batch_size,
-                                       ramp_overhead=0.0, seed=seed,
-                                       profiles=profiles, autoscaler=autoscaler,
-                                       min_replicas=min_replicas,
-                                       max_replicas=max_replicas,
-                                       prefill_in_slot=prefill_in_slot,
-                                       ttft_slo_ms=ttft_slo_ms,
-                                       tenancy=tenancy, faults=faults,
-                                       kv_capacity=kv_capacity, obs=obs)
-    return cluster.run(workload, lambda ordinal: policy)
-
-
-def _optimal_generative_disagg_impl(model: Union[str, ModelSpec],
-                                    workload: GenerativeWorkload,
-                                    max_batch_size: int = 8, seed: int = 0,
-                                    **pool_kwargs):
-    """The generative oracle on disaggregated pools: zero-overhead earliest
-    correct exits on every decode replica."""
-    from repro.core.generative import build_disaggregated_platform
-    spec = get_model(model) if isinstance(model, str) else model
-    policy = _oracle_token_policy(spec, seed)
-    pools = build_disaggregated_platform(spec, max_batch_size=max_batch_size,
-                                         ramp_overhead=0.0, seed=seed,
-                                         **pool_kwargs)
-    return pools.run(workload, lambda ordinal: policy)
-
-
-def run_optimal_generative(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                           max_batch_size: int = 8, seed: int = 0) -> GenerativeMetrics:
-    """Serve a generative workload with the oracle exit policy (zero overhead).
-
-    Equivalent to ``Experiment(...).run(systems=["optimal"])``.
-    """
-    from repro.api import Experiment
-    experiment = Experiment(model=model, workload=workload,
-                            max_batch_size=max_batch_size, seed=seed)
-    return experiment.run(["optimal"]).result("optimal").raw

@@ -34,7 +34,11 @@ from repro.serving.platform import BatchResult
 from repro.serving.request import Request, make_requests
 from repro.workloads.difficulty import DifficultyTrace
 
-__all__ = ["StaticEEVariant", "StaticEEResult", "run_static_ee", "calibrate_static_thresholds"]
+__all__ = ["StaticEEVariant", "StaticEEResult", "calibrate_static_thresholds"]
+
+#: Leading share of the trace the ``shared`` and ``per_ramp`` variants tune
+#: their thresholds on.
+CALIBRATION_FRACTION = 0.10
 
 
 class StaticEEVariant(str, enum.Enum):
@@ -126,7 +130,7 @@ def _static_ee_impl(model: Union[str, ModelSpec], workload: Workload,
                     variant: StaticEEVariant = StaticEEVariant.SHARED,
                     ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
                     platform: str = "clockwork", slo_ms: Optional[float] = None,
-                    accuracy_constraint: float = 0.01, calibration_fraction: float = 0.10,
+                    accuracy_constraint: float = 0.01,
                     max_batch_size: int = 16, seed: int = 0,
                     obs=None) -> StaticEEResult:
     spec, profile, prediction, catalog, executor = model_stack(
@@ -146,7 +150,7 @@ def _static_ee_impl(model: Union[str, ModelSpec], workload: Workload,
     if variant is StaticEEVariant.ORACLE:
         calibration = workload.trace
     else:
-        count = max(1, int(len(workload.trace) * calibration_fraction))
+        count = max(1, int(len(workload.trace) * CALIBRATION_FRACTION))
         calibration = workload.trace.slice(0, count)
     thresholds = calibrate_static_thresholds(calibration, prediction, depths, overheads_ms,
                                              spec.bs1_latency_ms, variant,
@@ -159,30 +163,3 @@ def _static_ee_impl(model: Union[str, ModelSpec], workload: Workload,
                                         overhead_fractions)
     metrics = cluster.run(requests, static_executor).aggregate()
     return StaticEEResult(metrics=metrics, thresholds=thresholds, ramp_depths=depths)
-
-
-def run_static_ee(model: Union[str, ModelSpec], workload: Workload,
-                  variant: StaticEEVariant = StaticEEVariant.SHARED,
-                  ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
-                  platform: str = "clockwork", slo_ms: Optional[float] = None,
-                  accuracy_constraint: float = 0.01, calibration_fraction: float = 0.10,
-                  max_batch_size: int = 16, seed: int = 0) -> StaticEEResult:
-    """Serve ``workload`` with a BranchyNet/DeeBERT-style static EE model.
-
-    ``ramp_style`` selects BranchyNet-like lightweight ramps (CV) or
-    DeeBERT-like deep-pooler ramps (NLP).  ``variant`` selects the tuning
-    strategy; the ``oracle`` variant calibrates on the full test stream.
-
-    Equivalent to ``Experiment(...).run(systems=["static_ee"])`` with the
-    variant/calibration knobs passed as per-system overrides.
-    """
-    from repro.api import Experiment, ExitPolicySpec
-    experiment = Experiment(
-        model=model, workload=workload,
-        ee=ExitPolicySpec(accuracy_constraint=accuracy_constraint,
-                          ramp_style=ramp_style),
-        platform=platform, slo_ms=slo_ms, max_batch_size=max_batch_size,
-        seed=seed,
-        overrides={"static_ee": {"variant": variant,
-                                 "calibration_fraction": calibration_fraction}})
-    return experiment.run(["static_ee"]).result("static_ee").raw

@@ -23,7 +23,7 @@ from repro.models.prediction import PredictionModel, ramp_error_score
 from repro.models.zoo import ModelSpec, Task
 from repro.workloads.difficulty import DifficultyTrace
 
-__all__ = ["TwoLayerSystem", "TwoLayerResult", "run_two_layer"]
+__all__ = ["TwoLayerSystem", "TwoLayerResult"]
 
 
 @dataclass
@@ -97,21 +97,21 @@ _DEFAULTS = {
 
 def _two_layer_impl(model: Union[str, ModelSpec], workload: Workload,
                     platform: str = "clockwork", slo_ms: Optional[float] = None,
-                    accuracy_constraint: float = 0.01, calibration_fraction: float = 1.0,
-                    capability_depth: Optional[float] = None,
-                    runtime_fraction: Optional[float] = None,
+                    accuracy_constraint: float = 0.01,
                     max_batch_size: int = 16, seed: int = 0,
                     obs=None) -> TwoLayerResult:
+    """Serve ``workload`` with the task's two-layer cascade.
+
+    As in the paper, the evaluation is favourable to the baseline: the
+    escalation threshold is calibrated on the full stream (so the system
+    operates within the same accuracy budget as Apparate), and the costs of
+    hosting the compressed model and of moving data between the two models
+    are ignored.
+    """
     spec, _profile, prediction, _catalog, _executor = model_stack(model, seed=seed)
-    defaults = _DEFAULTS.get(spec.task, _DEFAULTS[Task.NLP_CLASSIFICATION])
-    system = TwoLayerSystem(
-        capability_depth=capability_depth if capability_depth is not None
-        else defaults["capability_depth"],
-        runtime_fraction=runtime_fraction if runtime_fraction is not None
-        else defaults["runtime_fraction"],
-    )
-    calibration_count = max(1, int(len(workload.trace) * calibration_fraction))
-    system.calibrate(workload.trace.slice(0, calibration_count), prediction,
+    system = TwoLayerSystem(**_DEFAULTS.get(spec.task,
+                                            _DEFAULTS[Task.NLP_CLASSIFICATION]))
+    system.calibrate(workload.trace, prediction,
                      accuracy_constraint=accuracy_constraint)
 
     # Like the oracle, the two-layer comparator replays the vanilla run's
@@ -150,32 +150,3 @@ def _two_layer_impl(model: Union[str, ModelSpec], workload: Workload,
     return TwoLayerResult(latencies_ms=np.asarray(latencies, dtype=float),
                           accuracy=correct_count / n,
                           escalation_rate=escalations / n)
-
-
-def run_two_layer(model: Union[str, ModelSpec], workload: Workload,
-                  platform: str = "clockwork", slo_ms: Optional[float] = None,
-                  accuracy_constraint: float = 0.01, calibration_fraction: float = 1.0,
-                  capability_depth: Optional[float] = None,
-                  runtime_fraction: Optional[float] = None,
-                  max_batch_size: int = 16, seed: int = 0) -> TwoLayerResult:
-    """Serve ``workload`` with a two-layer (compressed + base) system.
-
-    As in the paper, the evaluation is favourable to the baseline: by default
-    the escalation threshold is calibrated on the full stream (so the system
-    operates within the same accuracy budget as Apparate), and the costs of
-    hosting the compressed model and of moving data between the two models
-    are ignored.
-
-    Equivalent to ``Experiment(...).run(systems=["two_layer"])`` with the
-    cascade shape passed as per-system overrides.
-    """
-    from repro.api import Experiment, ExitPolicySpec
-    experiment = Experiment(
-        model=model, workload=workload,
-        ee=ExitPolicySpec(accuracy_constraint=accuracy_constraint),
-        platform=platform, slo_ms=slo_ms, max_batch_size=max_batch_size,
-        seed=seed,
-        overrides={"two_layer": {"calibration_fraction": calibration_fraction,
-                                 "capability_depth": capability_depth,
-                                 "runtime_fraction": runtime_fraction}})
-    return experiment.run(["two_layer"]).result("two_layer").raw

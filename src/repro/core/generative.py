@@ -24,36 +24,23 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.controller import FleetController
 from repro.core.pipeline import model_stack
-from repro.exits.ramps import RampStyle, ramp_overhead_fraction
 from repro.generative.decoding import DecodeTimingModel, PrefillModel
 from repro.generative.parallel import TokenFeedback
-from repro.generative.sequences import GenerativeWorkload
 from repro.models.prediction import PredictionModel
 from repro.models.zoo import ModelSpec, get_model
 from repro.serving.autoscaler import (Autoscaler, build_autoscaler,
                                       canonical_autoscaler_name)
 from repro.serving.cluster import LoadBalancer
-from repro.serving.disagg import DisaggregatedMetrics, DisaggregatedPlatform
+from repro.serving.disagg import DisaggregatedPlatform
 from repro.serving.generative_cluster import (GenerativeClusterMetrics,
-                                              GenerativeClusterPlatform,
-                                              PolicyFactory)
-from repro.serving.hf_pipelines import (
-    ContinuousBatchingEngine,
-    GenerativeMetrics,
-    TokenDecision,
-    TokenExitPolicy,
-    VanillaTokenPolicy,
-)
+                                              GenerativeClusterPlatform)
+from repro.serving.hf_pipelines import (ContinuousBatchingEngine,
+                                        GenerativeMetrics, TokenDecision)
 
 __all__ = ["ApparateTokenPolicy", "GenerativeRunResult",
            "GenerativeClusterRunResult", "build_generative_cluster",
-           "build_disaggregated_platform",
-           "run_generative_vanilla", "run_generative_apparate",
-           "run_generative_vanilla_cluster", "run_generative_apparate_cluster",
-           "run_generative_vanilla_disagg", "run_generative_apparate_disagg",
-           "generative_ramp_depths"]
+           "build_disaggregated_platform", "generative_ramp_depths"]
 
 
 def generative_ramp_depths(model: Union[str, ModelSpec], seed: int = 0) -> List[float]:
@@ -266,7 +253,7 @@ def _resolve_generative_autoscaler(autoscaler: Union[str, Autoscaler, None],
 
 def build_generative_cluster(model: Union[str, ModelSpec], replicas: int,
                              balancer: Union[str, LoadBalancer] = "round_robin",
-                             max_batch_size: int = 8, flush_limit: int = 8,
+                             max_batch_size: int = 8,
                              ramp_overhead: float = 0.0, seed: int = 0,
                              profiles: Optional[Sequence] = None,
                              autoscaler: Union[str, Autoscaler, None] = "none",
@@ -279,9 +266,9 @@ def build_generative_cluster(model: Union[str, ModelSpec], replicas: int,
                              obs=None) -> GenerativeClusterPlatform:
     """Construct a fleet of continuous-batching decode replicas.
 
-    The engine is stateless, so one instance (model timing + slot count +
-    flush limit) is shared by every replica, including ones the autoscaler
-    boots mid-run; heterogeneity comes from ``profiles`` speed multipliers.
+    The engine is stateless, so one instance (model timing + slot count) is
+    shared by every replica, including ones the autoscaler boots mid-run;
+    heterogeneity comes from ``profiles`` speed multipliers.
 
     ``prefill_in_slot=True`` makes the fleet *monolithic* in the
     prefill/decode sense: a sequence claiming a decode slot first runs its
@@ -297,7 +284,7 @@ def build_generative_cluster(model: Union[str, ModelSpec], replicas: int,
     spec = get_model(model) if isinstance(model, str) else model
     timing = DecodeTimingModel(spec, ramp_overhead_fraction=ramp_overhead)
     engine = ContinuousBatchingEngine(
-        timing, max_batch_size=max_batch_size, flush_limit=flush_limit,
+        timing, max_batch_size=max_batch_size,
         prefill=PrefillModel(spec) if prefill_in_slot else None)
     return GenerativeClusterPlatform(
         [engine] * replicas, balancer=balancer, seed=seed, profiles=profiles,
@@ -305,88 +292,6 @@ def build_generative_cluster(model: Union[str, ModelSpec], replicas: int,
         min_replicas=min_replicas, max_replicas=max_replicas,
         ttft_slo_ms=_normalize_ttft_slo(ttft_slo_ms),
         tenancy=tenancy, faults=faults, kv_capacity=kv_capacity, obs=obs)
-
-
-def _generative_vanilla_cluster_impl(model: Union[str, ModelSpec],
-                                     workload: GenerativeWorkload,
-                                     replicas: int = 2,
-                                     balancer: Union[str, LoadBalancer] = "round_robin",
-                                     max_batch_size: int = 8, seed: int = 0,
-                                     autoscaler: Union[str, Autoscaler, None] = "none",
-                                     min_replicas: Optional[int] = None,
-                                     max_replicas: Optional[int] = None,
-                                     profiles: Optional[Sequence] = None,
-                                     prefill_in_slot: bool = False,
-                                     ttft_slo_ms: Optional[float] = None,
-                                     tenancy=None, faults=None,
-                                     kv_capacity: Optional[float] = None,
-                                     obs=None) -> GenerativeClusterMetrics:
-    cluster = build_generative_cluster(model, replicas, balancer=balancer,
-                                       max_batch_size=max_batch_size,
-                                       ramp_overhead=0.0, seed=seed,
-                                       profiles=profiles, autoscaler=autoscaler,
-                                       min_replicas=min_replicas,
-                                       max_replicas=max_replicas,
-                                       prefill_in_slot=prefill_in_slot,
-                                       ttft_slo_ms=ttft_slo_ms,
-                                       tenancy=tenancy, faults=faults,
-                                       kv_capacity=kv_capacity, obs=obs)
-    # The vanilla policy is stateless: every replica (including scaled-out
-    # ones) shares it.
-    policy = VanillaTokenPolicy()
-    return cluster.run(workload, lambda ordinal: policy)
-
-
-def _generative_apparate_cluster_impl(model: Union[str, ModelSpec],
-                                      workload: GenerativeWorkload,
-                                      replicas: int = 2,
-                                      balancer: Union[str, LoadBalancer] = "round_robin",
-                                      fleet_mode: str = "independent",
-                                      accuracy_constraint: float = 0.01,
-                                      max_batch_size: int = 8,
-                                      flush_limit: int = 8, seed: int = 0,
-                                      autoscaler: Union[str, Autoscaler, None] = "none",
-                                      min_replicas: Optional[int] = None,
-                                      max_replicas: Optional[int] = None,
-                                      profiles: Optional[Sequence] = None,
-                                      prefill_in_slot: bool = False,
-                                      ttft_slo_ms: Optional[float] = None,
-                                      tenancy=None, faults=None,
-                                      kv_capacity: Optional[float] = None,
-                                      obs=None) -> GenerativeClusterRunResult:
-    if fleet_mode not in FleetController.MODES:
-        raise ValueError(f"unknown fleet mode {fleet_mode!r}; "
-                         f"choose from {tuple(FleetController.MODES)}")
-    spec = get_model(model) if isinstance(model, str) else model
-    prediction = PredictionModel(spec, seed=seed)
-    depths = generative_ramp_depths(spec, seed=seed)
-    overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    cluster = build_generative_cluster(model, replicas, balancer=balancer,
-                                       max_batch_size=max_batch_size,
-                                       flush_limit=flush_limit,
-                                       ramp_overhead=overhead, seed=seed,
-                                       profiles=profiles, autoscaler=autoscaler,
-                                       min_replicas=min_replicas,
-                                       max_replicas=max_replicas,
-                                       prefill_in_slot=prefill_in_slot,
-                                       ttft_slo_ms=ttft_slo_ms,
-                                       tenancy=tenancy, faults=faults,
-                                       kv_capacity=kv_capacity, obs=obs)
-
-    policies: List[ApparateTokenPolicy] = []
-    shared = ApparateTokenPolicy(prediction, depths,
-                                 accuracy_constraint=accuracy_constraint) \
-        if fleet_mode == "shared" else None
-
-    def policy_factory(ordinal: int) -> ApparateTokenPolicy:
-        policy = shared if shared is not None else ApparateTokenPolicy(
-            prediction, depths, accuracy_constraint=accuracy_constraint)
-        policies.append(policy)
-        return policy
-
-    metrics = cluster.run(workload, policy_factory)
-    return GenerativeClusterRunResult(metrics=metrics, policies=policies,
-                                      fleet_mode=fleet_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +323,6 @@ def build_disaggregated_platform(model: Union[str, ModelSpec],
                                  decode_balancer: Union[str, LoadBalancer] = "round_robin",
                                  max_batch_size: int = 8,
                                  prefill_batch: int = 4,
-                                 flush_limit: int = 8,
                                  ramp_overhead: float = 0.0, seed: int = 0,
                                  prefill_profiles: Optional[Sequence] = None,
                                  decode_profiles: Optional[Sequence] = None,
@@ -443,8 +347,7 @@ def build_disaggregated_platform(model: Union[str, ModelSpec],
     """
     spec = get_model(model) if isinstance(model, str) else model
     timing = DecodeTimingModel(spec, ramp_overhead_fraction=ramp_overhead)
-    engine = ContinuousBatchingEngine(timing, max_batch_size=max_batch_size,
-                                      flush_limit=flush_limit)
+    engine = ContinuousBatchingEngine(timing, max_batch_size=max_batch_size)
     prefill = PrefillModel(spec, transfer_gbps=transfer_gbps)
     return DisaggregatedPlatform(
         prefill, [engine] * decode_replicas,
@@ -461,186 +364,3 @@ def build_disaggregated_platform(model: Union[str, ModelSpec],
         decode_max_replicas=decode_max_replicas,
         ttft_slo_ms=_normalize_ttft_slo(ttft_slo_ms),
         tenancy=tenancy, faults=faults, kv_capacity=kv_capacity, obs=obs)
-
-
-def _generative_vanilla_disagg_impl(model: Union[str, ModelSpec],
-                                    workload: GenerativeWorkload,
-                                    max_batch_size: int = 8, seed: int = 0,
-                                    **pool_kwargs) -> DisaggregatedMetrics:
-    pools = build_disaggregated_platform(model, max_batch_size=max_batch_size,
-                                         ramp_overhead=0.0, seed=seed,
-                                         **pool_kwargs)
-    policy = VanillaTokenPolicy()
-    return pools.run(workload, lambda ordinal: policy)
-
-
-def _generative_apparate_disagg_impl(model: Union[str, ModelSpec],
-                                     workload: GenerativeWorkload,
-                                     fleet_mode: str = "independent",
-                                     accuracy_constraint: float = 0.01,
-                                     max_batch_size: int = 8,
-                                     flush_limit: int = 8, seed: int = 0,
-                                     **pool_kwargs) -> GenerativeClusterRunResult:
-    """Apparate on the disaggregated platform: per-decode-replica (or one
-    fleet-wide, with ``fleet_mode="shared"``) adaptive token policies; the
-    prefill pool is policy-free (no tokens are released there)."""
-    if fleet_mode not in FleetController.MODES:
-        raise ValueError(f"unknown fleet mode {fleet_mode!r}; "
-                         f"choose from {tuple(FleetController.MODES)}")
-    spec = get_model(model) if isinstance(model, str) else model
-    prediction = PredictionModel(spec, seed=seed)
-    depths = generative_ramp_depths(spec, seed=seed)
-    overhead = ramp_overhead_fraction(spec, RampStyle.DECODE_HEAD)
-    pools = build_disaggregated_platform(model, max_batch_size=max_batch_size,
-                                         flush_limit=flush_limit,
-                                         ramp_overhead=overhead, seed=seed,
-                                         **pool_kwargs)
-
-    policies: List[ApparateTokenPolicy] = []
-    shared = ApparateTokenPolicy(prediction, depths,
-                                 accuracy_constraint=accuracy_constraint) \
-        if fleet_mode == "shared" else None
-
-    def policy_factory(ordinal: int) -> ApparateTokenPolicy:
-        policy = shared if shared is not None else ApparateTokenPolicy(
-            prediction, depths, accuracy_constraint=accuracy_constraint)
-        policies.append(policy)
-        return policy
-
-    metrics = pools.run(workload, policy_factory)
-    return GenerativeClusterRunResult(metrics=metrics, policies=policies,
-                                      fleet_mode=fleet_mode)
-
-
-# ---------------------------------------------------------------------------
-# One-call generative runs: thin shims over the system registry.
-# ---------------------------------------------------------------------------
-
-def run_generative_vanilla(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                           max_batch_size: int = 8, seed: int = 0) -> GenerativeMetrics:
-    """Serve a generative workload with the original model (no exits).
-
-    Equivalent to ``Experiment(...).run(systems=["vanilla"])``.
-    """
-    from repro.api import Experiment
-    experiment = Experiment(model=model, workload=workload,
-                            max_batch_size=max_batch_size, seed=seed)
-    return experiment.run(["vanilla"]).result("vanilla").raw
-
-
-def run_generative_apparate(model: Union[str, ModelSpec], workload: GenerativeWorkload,
-                            accuracy_constraint: float = 0.01, max_batch_size: int = 8,
-                            flush_limit: int = 8, seed: int = 0) -> GenerativeRunResult:
-    """Serve a generative workload with Apparate's adaptive single ramp.
-
-    Equivalent to ``Experiment(...).run(systems=["apparate"])``.
-    """
-    from repro.api import Experiment, ExitPolicySpec
-    experiment = Experiment(model=model, workload=workload,
-                            ee=ExitPolicySpec(accuracy_constraint=accuracy_constraint),
-                            max_batch_size=max_batch_size, seed=seed,
-                            overrides={"apparate": {"flush_limit": flush_limit}})
-    return experiment.run(["apparate"]).result("apparate").raw
-
-
-def run_generative_vanilla_cluster(model: Union[str, ModelSpec],
-                                   workload: GenerativeWorkload,
-                                   replicas: int = 2,
-                                   balancer: Union[str, LoadBalancer] = "round_robin",
-                                   max_batch_size: int = 8, seed: int = 0,
-                                   autoscaler: Union[str, Autoscaler, None] = "none",
-                                   min_replicas: Optional[int] = None,
-                                   max_replicas: Optional[int] = None,
-                                   profiles: Optional[Sequence] = None
-                                   ) -> GenerativeClusterMetrics:
-    """Serve a generative workload with a fleet of the original model.
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(...)).run(["vanilla"])``.
-    """
-    from repro.api import ClusterSpec, Experiment
-    cluster = ClusterSpec(replicas=replicas, balancer=balancer,
-                          autoscaler=autoscaler, min_replicas=min_replicas,
-                          max_replicas=max_replicas, profiles=profiles)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            max_batch_size=max_batch_size, seed=seed)
-    return experiment.run(["vanilla"]).result("vanilla").raw
-
-
-def run_generative_apparate_cluster(model: Union[str, ModelSpec],
-                                    workload: GenerativeWorkload,
-                                    replicas: int = 2,
-                                    balancer: Union[str, LoadBalancer] = "round_robin",
-                                    fleet_mode: str = "independent",
-                                    accuracy_constraint: float = 0.01,
-                                    max_batch_size: int = 8,
-                                    flush_limit: int = 8, seed: int = 0,
-                                    autoscaler: Union[str, Autoscaler, None] = "none",
-                                    min_replicas: Optional[int] = None,
-                                    max_replicas: Optional[int] = None,
-                                    profiles: Optional[Sequence] = None
-                                    ) -> GenerativeClusterRunResult:
-    """Serve a generative workload across a fleet of Apparate decode replicas.
-
-    ``fleet_mode`` selects the token-level EE control topology: ``independent``
-    gives each replica its own :class:`ApparateTokenPolicy`; ``shared`` feeds
-    every replica's token feedback into one fleet-wide policy.
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(...)).run(["apparate"])``.
-    """
-    from repro.api import ClusterSpec, Experiment, ExitPolicySpec
-    cluster = ClusterSpec(replicas=replicas, balancer=balancer,
-                          fleet_mode=fleet_mode, autoscaler=autoscaler,
-                          min_replicas=min_replicas, max_replicas=max_replicas,
-                          profiles=profiles)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            ee=ExitPolicySpec(accuracy_constraint=accuracy_constraint),
-                            max_batch_size=max_batch_size, seed=seed,
-                            overrides={"apparate": {"flush_limit": flush_limit}})
-    return experiment.run(["apparate"]).result("apparate").raw
-
-
-def run_generative_vanilla_disagg(model: Union[str, ModelSpec],
-                                  workload: GenerativeWorkload,
-                                  prefill_replicas: int = 2,
-                                  decode_replicas: int = 2,
-                                  max_batch_size: int = 8, seed: int = 0,
-                                  **cluster_kwargs) -> DisaggregatedMetrics:
-    """Serve a generative workload on disaggregated prefill/decode pools
-    with the original model (no exits).
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(disaggregate=True,
-    ...)).run(["vanilla"])``; extra keywords go to :class:`ClusterSpec`.
-    """
-    from repro.api import ClusterSpec, Experiment
-    cluster = ClusterSpec(replicas=max(prefill_replicas, decode_replicas),
-                          disaggregate=True,
-                          prefill_replicas=prefill_replicas,
-                          decode_replicas=decode_replicas, **cluster_kwargs)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            max_batch_size=max_batch_size, seed=seed)
-    return experiment.run(["vanilla"]).result("vanilla").raw
-
-
-def run_generative_apparate_disagg(model: Union[str, ModelSpec],
-                                   workload: GenerativeWorkload,
-                                   prefill_replicas: int = 2,
-                                   decode_replicas: int = 2,
-                                   fleet_mode: str = "independent",
-                                   accuracy_constraint: float = 0.01,
-                                   max_batch_size: int = 8, seed: int = 0,
-                                   **cluster_kwargs) -> GenerativeClusterRunResult:
-    """Serve a generative workload on disaggregated prefill/decode pools
-    with Apparate's adaptive token exits on the decode pool.
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(disaggregate=True,
-    ...)).run(["apparate"])``; extra keywords go to :class:`ClusterSpec`.
-    """
-    from repro.api import ClusterSpec, Experiment, ExitPolicySpec
-    cluster = ClusterSpec(replicas=max(prefill_replicas, decode_replicas),
-                          disaggregate=True, fleet_mode=fleet_mode,
-                          prefill_replicas=prefill_replicas,
-                          decode_replicas=decode_replicas, **cluster_kwargs)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            ee=ExitPolicySpec(accuracy_constraint=accuracy_constraint),
-                            max_batch_size=max_batch_size, seed=seed)
-    return experiment.run(["apparate"]).result("apparate").raw

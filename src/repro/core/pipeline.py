@@ -6,13 +6,9 @@ platform; and run the workload through either the vanilla executor or the
 Apparate executor (which consults the controller for the deployed EE
 configuration before every batch and streams feedback back afterwards).
 
-The public ``run_vanilla`` / ``run_apparate`` / ``run_*_cluster`` entry
-points are thin shims over the system registry: each builds a declarative
-:class:`repro.api.Experiment` and delegates to the registered system
-(``vanilla`` or ``apparate``), so new front ends (the CLI's ``--systems``
-flag, sweeps, benchmarks) and these legacy helpers all execute the exact
-same code path.  The serving logic itself lives in the private ``_*_impl``
-functions that the registry runners call.
+Runs start from :class:`repro.api.Experiment`: its registered ``vanilla``
+and ``apparate`` systems call the private ``_*_cluster_impl`` functions
+below, on a one-replica pool when the experiment has no cluster.
 """
 
 from __future__ import annotations
@@ -40,8 +36,7 @@ from repro.workloads.nlp import NLPWorkload
 from repro.workloads.video import VideoWorkload
 
 __all__ = ["ApparateExecutor", "ApparateRunResult", "ApparateClusterRunResult",
-           "build_platform", "build_cluster", "run_vanilla", "run_apparate",
-           "run_vanilla_cluster", "run_apparate_cluster", "model_stack"]
+           "build_platform", "build_cluster", "model_stack"]
 
 Workload = Union[VideoWorkload, NLPWorkload]
 
@@ -292,114 +287,3 @@ def _apparate_cluster_impl(model: Union[str, ModelSpec], workload: Workload,
                                                     fleet.replica_controller(i)))
     fleet.flush()
     return ApparateClusterRunResult(metrics=metrics, fleet=fleet)
-
-
-# ---------------------------------------------------------------------------
-# One-call serving runs: thin shims over the system registry.
-# ---------------------------------------------------------------------------
-
-def run_vanilla(model: Union[str, ModelSpec], workload: Workload,
-                platform: str = "clockwork", slo_ms: Optional[float] = None,
-                max_batch_size: int = 16, seed: int = 0,
-                drop_expired: bool = True) -> ServingMetrics:
-    """Serve ``workload`` with the original (non-EE) model.
-
-    Equivalent to ``Experiment(...).run(systems=["vanilla"])``.
-    """
-    from repro.api import Experiment
-    experiment = Experiment(model=model, workload=workload, platform=platform,
-                            slo_ms=slo_ms, max_batch_size=max_batch_size,
-                            seed=seed, drop_expired=drop_expired)
-    return experiment.run(["vanilla"]).result("vanilla").raw
-
-
-def run_apparate(model: Union[str, ModelSpec], workload: Workload,
-                 platform: str = "clockwork", slo_ms: Optional[float] = None,
-                 accuracy_constraint: float = 0.01, ramp_budget: float = 0.02,
-                 ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
-                 max_batch_size: int = 16, seed: int = 0,
-                 drop_expired: bool = True,
-                 ramp_adjustment_enabled: bool = True,
-                 initial_ramp_ids: Optional[Sequence[int]] = None) -> ApparateRunResult:
-    """Serve ``workload`` with Apparate managing early exits on top of the platform.
-
-    Equivalent to ``Experiment(...).run(systems=["apparate"])``.
-    """
-    from repro.api import Experiment, ExitPolicySpec
-    ee = ExitPolicySpec(accuracy_constraint=accuracy_constraint,
-                        ramp_budget=ramp_budget, ramp_style=ramp_style,
-                        initial_ramp_ids=initial_ramp_ids,
-                        ramp_adjustment_enabled=ramp_adjustment_enabled)
-    experiment = Experiment(model=model, workload=workload, ee=ee,
-                            platform=platform, slo_ms=slo_ms,
-                            max_batch_size=max_batch_size, seed=seed,
-                            drop_expired=drop_expired)
-    return experiment.run(["apparate"]).result("apparate").raw
-
-
-def run_vanilla_cluster(model: Union[str, ModelSpec], workload: Workload,
-                        replicas: int = 2, balancer: Union[str, LoadBalancer] = "round_robin",
-                        platform: str = "clockwork", slo_ms: Optional[float] = None,
-                        max_batch_size: int = 16, seed: int = 0,
-                        drop_expired: bool = True,
-                        autoscaler: Union[str, Autoscaler, None] = "none",
-                        min_replicas: Optional[int] = None,
-                        max_replicas: Optional[int] = None,
-                        profiles: Optional[Sequence] = None) -> ClusterMetrics:
-    """Serve ``workload`` with a fleet of the original (non-EE) model.
-
-    ``autoscaler`` (with the ``min_replicas``/``max_replicas`` band) makes the
-    fleet elastic; ``profiles`` makes it heterogeneous.
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(...)).run(["vanilla"])``.
-    """
-    from repro.api import ClusterSpec, Experiment
-    cluster = ClusterSpec(replicas=replicas, balancer=balancer,
-                          autoscaler=autoscaler, min_replicas=min_replicas,
-                          max_replicas=max_replicas, profiles=profiles)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            platform=platform, slo_ms=slo_ms,
-                            max_batch_size=max_batch_size, seed=seed,
-                            drop_expired=drop_expired)
-    return experiment.run(["vanilla"]).result("vanilla").raw
-
-
-def run_apparate_cluster(model: Union[str, ModelSpec], workload: Workload,
-                         replicas: int = 2,
-                         balancer: Union[str, LoadBalancer] = "round_robin",
-                         fleet_mode: str = "independent", sync_period: int = 64,
-                         platform: str = "clockwork", slo_ms: Optional[float] = None,
-                         accuracy_constraint: float = 0.01, ramp_budget: float = 0.02,
-                         ramp_style: RampStyle = RampStyle.LIGHTWEIGHT,
-                         max_batch_size: int = 16, seed: int = 0,
-                         drop_expired: bool = True,
-                         initial_ramp_ids: Optional[Sequence[int]] = None,
-                         autoscaler: Union[str, Autoscaler, None] = "none",
-                         min_replicas: Optional[int] = None,
-                         max_replicas: Optional[int] = None,
-                         profiles: Optional[Sequence] = None
-                         ) -> ApparateClusterRunResult:
-    """Serve ``workload`` across a fleet of Apparate-managed replicas.
-
-    ``fleet_mode`` selects the EE control topology: ``independent`` gives each
-    replica its own :class:`ApparateController`; ``shared`` aggregates the
-    fleet's profiling feedback into one controller with a periodic sync of
-    ``sync_period`` samples per replica (see :class:`FleetController`).
-    ``autoscaler``/``min_replicas``/``max_replicas`` make the fleet elastic
-    and ``profiles`` heterogeneous, exactly as in :func:`run_vanilla_cluster`.
-
-    Equivalent to ``Experiment(..., cluster=ClusterSpec(...)).run(["apparate"])``.
-    """
-    from repro.api import ClusterSpec, Experiment, ExitPolicySpec
-    cluster = ClusterSpec(replicas=replicas, balancer=balancer,
-                          fleet_mode=fleet_mode, sync_period=sync_period,
-                          autoscaler=autoscaler, min_replicas=min_replicas,
-                          max_replicas=max_replicas, profiles=profiles)
-    ee = ExitPolicySpec(accuracy_constraint=accuracy_constraint,
-                        ramp_budget=ramp_budget, ramp_style=ramp_style,
-                        initial_ramp_ids=initial_ramp_ids)
-    experiment = Experiment(model=model, workload=workload, cluster=cluster,
-                            ee=ee, platform=platform, slo_ms=slo_ms,
-                            max_batch_size=max_batch_size, seed=seed,
-                            drop_expired=drop_expired)
-    return experiment.run(["apparate"]).result("apparate").raw

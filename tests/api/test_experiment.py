@@ -1,4 +1,4 @@
-"""Tests for the declarative Experiment facade: runs, shims, sweeps, JSON."""
+"""Tests for the declarative Experiment facade: runs, overrides, sweeps, JSON."""
 
 import json
 
@@ -6,10 +6,8 @@ import pytest
 
 from repro.api import (ClusterSpec, Experiment, ExitPolicySpec, WorkloadSpec,
                        KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE)
-from repro.core.generative import run_generative_apparate
-from repro.core.pipeline import run_apparate, run_apparate_cluster, run_vanilla
 from repro.exits.ramps import RampStyle
-from repro.baselines.static_ee import StaticEEVariant, run_static_ee
+from repro.baselines.static_ee import StaticEEResult, StaticEEVariant
 
 
 WORKLOAD = WorkloadSpec("video", "urban-day", requests=500)
@@ -76,55 +74,46 @@ def test_spec_validation_names_the_offending_value():
         RampStyle.CONV_HEAVY
     with pytest.raises(ValueError, match="unknown model 'nope'"):
         Experiment(model="nope", workload=WORKLOAD)
+    for slo_ms in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"slo_ms .*{slo_ms}"):
+            Experiment(model="resnet50", workload=WORKLOAD, slo_ms=slo_ms)
+    # Integer fields: NaN, infinite and fractional values name the field.
+    for value in (float("nan"), float("inf"), 2.5):
+        for field in ("requests", "seed", "prefix_groups", "prefix_tokens"):
+            with pytest.raises(ValueError, match=f"{field} must be an "
+                                                 f"integer, got {value}"):
+                WorkloadSpec("generative", **{field: value})
+        for field in ClusterSpec.INT_KEYS:
+            knobs = {"replicas": 2, field: value}
+            if field.startswith(("prefill", "decode")):
+                knobs["disaggregate"] = True
+            with pytest.raises(ValueError, match=f"{field} must be an "
+                                                 f"integer, got {value}"):
+                ClusterSpec(**knobs)
+        with pytest.raises(ValueError, match=f"initial_ramp_ids .*{value}"):
+            ExitPolicySpec(initial_ramp_ids=(1, value))
+        for field in ("seed", "max_batch_size"):
+            with pytest.raises(ValueError, match=f"{field} must be an "
+                                                 f"integer, got {value}"):
+                Experiment(model="resnet50", workload=WORKLOAD,
+                           **{field: value})
+    # Integral floats stay accepted, stored as ints.
+    assert WorkloadSpec("video", requests=2000.0).requests == 2000
+    assert type(ClusterSpec(replicas=3.0, sync_period=32.0).sync_period) is int
 
 
-# ---------------------------------------------------------------- shim parity
-
-def test_run_vanilla_shim_equals_experiment(small_video_workload):
-    shim = run_vanilla("resnet50", small_video_workload, seed=4)
-    report = Experiment(model="resnet50", workload=small_video_workload,
-                        seed=4).run(["vanilla"])
-    assert shim.summary() == report.result("vanilla").summary
-
-
-def test_run_apparate_shim_equals_experiment(small_video_workload):
-    shim = run_apparate("resnet50", small_video_workload, seed=4,
-                        accuracy_constraint=0.02)
-    report = Experiment(model="resnet50", workload=small_video_workload, seed=4,
-                        ee=ExitPolicySpec(accuracy_constraint=0.02)) \
-        .run(["apparate"])
-    assert shim.summary() == report.result("apparate").summary
-
-
-def test_cluster_shim_equals_experiment(small_video_workload):
-    shim = run_apparate_cluster("resnet50", small_video_workload, replicas=2,
-                                balancer="join_shortest_queue",
-                                fleet_mode="shared", seed=4)
-    cluster = ClusterSpec(replicas=2, balancer="join_shortest_queue",
-                          fleet_mode="shared")
-    report = Experiment(model="resnet50", workload=small_video_workload,
-                        cluster=cluster, seed=4).run(["apparate"])
-    assert shim.summary() == report.result("apparate").summary
-
-
-def test_generative_shim_equals_experiment(small_generative_workload):
-    shim = run_generative_apparate("t5-large", small_generative_workload, seed=4)
-    report = Experiment(model="t5-large", workload=small_generative_workload,
-                        seed=4).run(["apparate"])
-    assert shim.summary() == report.result("apparate").summary
-
+# ----------------------------------------------------------------- overrides
 
 def test_system_overrides_reach_the_runner(small_video_workload):
     """Per-system overrides carry knobs only one system understands."""
-    shim = run_static_ee("resnet50", small_video_workload,
-                         variant=StaticEEVariant.PER_RAMP, seed=4)
     report = Experiment(
         model="resnet50", workload=small_video_workload, seed=4,
         overrides={"static_ee": {"variant": StaticEEVariant.PER_RAMP}}) \
         .run(["static_ee"])
     result = report.result("static_ee")
     assert result.details["variant"] == "per_ramp"
-    assert shim.summary() == result.summary
+    assert isinstance(result.raw, StaticEEResult)
+    assert result.summary == result.raw.summary()
 
 
 def test_generative_cluster_runs_every_generative_system():
@@ -199,6 +188,21 @@ def test_unknown_override_keyword_raises_value_error():
                             overrides={"vanilla": {"bogus_knob": 1}})
     with pytest.raises(ValueError, match="bogus_knob"):
         experiment.run(["vanilla"])
+
+
+@pytest.mark.parametrize("system, knob", [("vanilla", "seed"),
+                                          ("vanilla", "replicas"),
+                                          ("apparate", "obs"),
+                                          ("static_ee", "experiment"),
+                                          ("two_layer", "calibration_fraction")])
+def test_override_repeating_an_experiment_knob_raises_value_error(system, knob):
+    """A knob the experiment already sets is not a per-system override."""
+    experiment = Experiment(model="resnet50",
+                            workload=WorkloadSpec("video", requests=100),
+                            overrides={system: {knob: None}})
+    with pytest.raises(ValueError, match=f"invalid override for system "
+                                         f"'{system}'.*{knob}"):
+        experiment.run([system])
 
 
 # -------------------------------------------------------------------- sweeps

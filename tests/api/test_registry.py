@@ -4,8 +4,7 @@ import pytest
 
 import repro
 import repro.api as api
-from repro.api import (KIND_CLASSIFICATION, KIND_CLUSTER, KIND_GENERATIVE,
-                       KIND_GENERATIVE_CLUSTER, REGISTERED_SYSTEMS,
+from repro.api import (KIND_CLASSIFICATION, REGISTERED_SYSTEMS,
                        canonical_system_name, get_system, list_systems,
                        register_system, system_descriptions)
 
@@ -15,31 +14,15 @@ def test_registry_matches_canonical_set():
     assert tuple(list_systems()) == tuple(sorted(REGISTERED_SYSTEMS))
 
 
-def test_registry_completeness_vs_public_api():
-    """Every public ``run_*`` entry point has a registry counterpart.
-
-    This is the guard against the pre-registry drift where new systems grew
-    ad-hoc runner functions that no shared front end could reach.
-    """
-    run_function_to_system = {
-        "run_vanilla": ("vanilla", KIND_CLASSIFICATION),
-        "run_apparate": ("apparate", KIND_CLASSIFICATION),
-        "run_vanilla_cluster": ("vanilla", KIND_CLUSTER),
-        "run_apparate_cluster": ("apparate", KIND_CLUSTER),
-        "run_generative_vanilla": ("vanilla", KIND_GENERATIVE),
-        "run_generative_apparate": ("apparate", KIND_GENERATIVE),
-        "run_generative_vanilla_cluster": ("vanilla", KIND_GENERATIVE_CLUSTER),
-        "run_generative_apparate_cluster": ("apparate", KIND_GENERATIVE_CLUSTER),
-        "run_free_generative": ("free", KIND_GENERATIVE),
-        "run_optimal_classification": ("optimal", KIND_CLASSIFICATION),
-        "run_optimal_generative": ("optimal", KIND_GENERATIVE),
-        "run_static_ee": ("static_ee", KIND_CLASSIFICATION),
-        "run_two_layer": ("two_layer", KIND_CLASSIFICATION),
-    }
-    for function_name, (system, kind) in run_function_to_system.items():
-        runner = get_system(system)
-        assert runner.supports(kind), \
-            f"{function_name} maps to {system!r} which does not support {kind}"
+def test_packages_export_no_run_entry_points():
+    """``Experiment`` is the one front door: no package re-grows a ``run_*``
+    function that re-declares a subset of its knobs."""
+    import repro.baselines
+    import repro.core
+    for package in (repro, repro.core, repro.baselines):
+        exported = set(package.__all__) | set(vars(package))
+        assert not [name for name in exported if name.startswith("run_")], \
+            package.__name__
 
 
 def test_every_registered_name_is_exported():

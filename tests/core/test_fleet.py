@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.api import ClusterSpec, Experiment
 from repro.core.controller import ApparateController, FleetController
-from repro.core.pipeline import (build_cluster, model_stack,
-                                 run_apparate_cluster, run_vanilla_cluster)
+from repro.core.pipeline import build_cluster, model_stack
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +90,9 @@ def test_build_cluster_replicates_platform(stack):
 
 
 def test_run_vanilla_cluster_serves_all_requests(small_video_workload):
-    fleet = run_vanilla_cluster("resnet50", small_video_workload, replicas=2,
-                                balancer="round_robin", drop_expired=False)
+    fleet = Experiment(model="resnet50", workload=small_video_workload,
+                       cluster=ClusterSpec(replicas=2, balancer="round_robin"),
+                       drop_expired=False).run(["vanilla"]).result("vanilla").raw
     agg = fleet.aggregate()
     assert len(agg.served()) == len(small_video_workload)
     assert sum(fleet.pool.dispatch_counts) == len(small_video_workload)
@@ -99,9 +100,11 @@ def test_run_vanilla_cluster_serves_all_requests(small_video_workload):
 
 @pytest.mark.parametrize("fleet_mode", ["independent", "shared"])
 def test_run_apparate_cluster_modes(small_video_workload, fleet_mode):
-    result = run_apparate_cluster("resnet50", small_video_workload, replicas=2,
-                                  balancer="join_shortest_queue",
-                                  fleet_mode=fleet_mode, drop_expired=False)
+    cluster = ClusterSpec(replicas=2, balancer="join_shortest_queue",
+                          fleet_mode=fleet_mode)
+    result = Experiment(model="resnet50", workload=small_video_workload,
+                        cluster=cluster, drop_expired=False) \
+        .run(["apparate"]).result("apparate").raw
     agg = result.metrics.aggregate()
     assert len(agg.served()) == len(small_video_workload)
     # Exits activate at fleet scale and the accuracy constraint holds loosely.
@@ -115,9 +118,11 @@ def test_run_apparate_cluster_modes(small_video_workload, fleet_mode):
 
 
 def test_cluster_outscales_single_replica(small_video_workload):
-    one = run_vanilla_cluster("resnet50", small_video_workload, replicas=1,
-                              drop_expired=False)
-    two = run_vanilla_cluster("resnet50", small_video_workload, replicas=2,
-                              balancer="least_work_left", drop_expired=False)
+    one, two = (
+        Experiment(model="resnet50", workload=small_video_workload,
+                   cluster=cluster, drop_expired=False)
+        .run(["vanilla"]).result("vanilla").raw
+        for cluster in (ClusterSpec(replicas=1),
+                        ClusterSpec(replicas=2, balancer="least_work_left")))
     assert two.aggregate().throughput_qps() >= one.aggregate().throughput_qps() * 0.95
     assert two.aggregate().p95_latency() <= one.aggregate().p95_latency() + 1e-9

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core.generative import (
-    ApparateTokenPolicy,
-    generative_ramp_depths,
-    run_generative_apparate,
-    run_generative_vanilla,
-)
+from repro.api import Experiment
+from repro.core.generative import ApparateTokenPolicy, generative_ramp_depths
 from repro.generative.parallel import TokenFeedback
 from repro.models.prediction import PredictionModel
 from repro.models.zoo import get_model
@@ -71,20 +67,24 @@ def test_policy_moves_ramp_later_when_exits_are_rare(t5_prediction):
 
 
 def test_run_generative_vanilla_and_apparate(small_generative_workload):
-    vanilla = run_generative_vanilla("t5-large", small_generative_workload)
-    apparate = run_generative_apparate("t5-large", small_generative_workload)
+    report = Experiment(model="t5-large", workload=small_generative_workload) \
+        .run(["vanilla", "apparate"])
+    vanilla = report.result("vanilla").raw
+    apparate = report.result("apparate").raw
     assert len(vanilla.tokens) == small_generative_workload.total_tokens()
     assert apparate.metrics.median_tpt() <= vanilla.median_tpt() * 1.05
     assert apparate.metrics.mean_sequence_accuracy() >= 0.97
 
 
 def test_run_generative_apparate_summary(small_generative_workload):
-    result = run_generative_apparate("t5-large", small_generative_workload)
+    result = Experiment(model="t5-large", workload=small_generative_workload) \
+        .run(["apparate"]).result("apparate").raw
     summary = result.summary()
     assert {"tpt_p50_ms", "sequence_accuracy", "ramp_depth", "threshold"} <= set(summary)
 
 
 def test_generative_llama_model_runs(small_generative_workload):
-    result = run_generative_apparate("llama2-7b", small_generative_workload)
+    result = Experiment(model="llama2-7b", workload=small_generative_workload) \
+        .run(["apparate"]).result("apparate").raw
     assert result.metrics.mean_sequence_accuracy() >= 0.97
     assert len(result.metrics.tokens) == small_generative_workload.total_tokens()

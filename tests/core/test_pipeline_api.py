@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api import Experiment, ExitPolicySpec
 from repro.core.apparate import Apparate
-from repro.core.pipeline import build_platform, model_stack, run_apparate, run_vanilla
+from repro.core.pipeline import build_platform, model_stack
 from repro.exits.ramps import RampStyle
 from repro.models.quantization import quantized_spec
 from repro.models.zoo import get_model
@@ -26,56 +27,72 @@ def test_build_platform_by_name(resnet50_stack):
 
 
 def test_run_vanilla_serves_all_requests(small_video_workload):
-    metrics = run_vanilla("resnet50", small_video_workload)
+    metrics = Experiment(model="resnet50", workload=small_video_workload) \
+        .run(["vanilla"]).result("vanilla").raw
     assert len(metrics.served()) == len(small_video_workload)
     assert metrics.exit_rate() == 0.0
     assert metrics.accuracy() == 1.0
 
 
 def test_run_apparate_improves_median_latency_cv(small_video_workload):
-    vanilla = run_vanilla("resnet50", small_video_workload)
-    apparate = run_apparate("resnet50", small_video_workload)
+    report = Experiment(model="resnet50", workload=small_video_workload) \
+        .run(["vanilla", "apparate"])
+    vanilla = report.result("vanilla").raw
+    apparate = report.result("apparate").raw
     assert apparate.metrics.median_latency() < vanilla.median_latency()
     assert apparate.metrics.exit_rate() > 0.3
 
 
 def test_run_apparate_meets_accuracy_constraint(small_video_workload):
-    apparate = run_apparate("resnet50", small_video_workload, accuracy_constraint=0.01)
+    apparate = Experiment(model="resnet50", workload=small_video_workload,
+                          ee=ExitPolicySpec(accuracy_constraint=0.01)) \
+        .run(["apparate"]).result("apparate").raw
     assert apparate.metrics.accuracy() >= 0.985
 
 
 def test_run_apparate_tail_latency_within_budget(small_video_workload):
-    vanilla = run_vanilla("resnet50", small_video_workload)
-    apparate = run_apparate("resnet50", small_video_workload, ramp_budget=0.02)
+    report = Experiment(model="resnet50", workload=small_video_workload,
+                        ee=ExitPolicySpec(ramp_budget=0.02)) \
+        .run(["vanilla", "apparate"])
+    vanilla = report.result("vanilla").raw
+    apparate = report.result("apparate").raw
     assert apparate.metrics.p95_latency() <= vanilla.p95_latency() * 1.05
 
 
 def test_run_apparate_throughput_preserved(small_video_workload):
     """Exits release results early but never change platform throughput."""
-    vanilla = run_vanilla("resnet50", small_video_workload)
-    apparate = run_apparate("resnet50", small_video_workload)
+    report = Experiment(model="resnet50", workload=small_video_workload) \
+        .run(["vanilla", "apparate"])
+    vanilla = report.result("vanilla").raw
+    apparate = report.result("apparate").raw
     assert apparate.metrics.throughput_qps() >= vanilla.throughput_qps() * 0.97
 
 
 def test_run_apparate_summary_fields(small_video_workload):
-    summary = run_apparate("resnet50", small_video_workload).summary()
+    result = Experiment(model="resnet50", workload=small_video_workload) \
+        .run(["apparate"]).result("apparate")
     assert {"p50_ms", "accuracy", "threshold_tunings", "ramp_adjustments",
-            "active_ramps"} <= set(summary)
+            "active_ramps"} <= set(result.raw.summary())
 
 
 def test_run_apparate_with_ablation_switch(small_video_workload):
-    result = run_apparate("resnet50", small_video_workload, ramp_adjustment_enabled=False)
+    result = Experiment(model="resnet50", workload=small_video_workload,
+                        ee=ExitPolicySpec(ramp_adjustment_enabled=False)) \
+        .run(["apparate"]).result("apparate").raw
     assert result.controller.stats.ramp_adjustments == 0
 
 
 def test_run_apparate_alternative_ramp_style(small_nlp_workload):
-    result = run_apparate("bert-base", small_nlp_workload, ramp_style=RampStyle.DEEP_POOLER)
+    result = Experiment(model="bert-base", workload=small_nlp_workload,
+                        ee=ExitPolicySpec(ramp_style=RampStyle.DEEP_POOLER)) \
+        .run(["apparate"]).result("apparate").raw
     assert result.metrics.accuracy() >= 0.98
 
 
 def test_run_apparate_on_quantized_model(small_nlp_workload):
     quantized = quantized_spec(get_model("bert-base"), register=True)
-    result = run_apparate(quantized, small_nlp_workload)
+    result = Experiment(model=quantized, workload=small_nlp_workload) \
+        .run(["apparate"]).result("apparate").raw
     assert len(result.metrics.served()) > 0
     assert result.metrics.accuracy() >= 0.98
 

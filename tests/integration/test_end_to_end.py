@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.baselines.oracle import run_optimal_classification
+from repro.api import Experiment
 from repro.core.apparate import Apparate
-from repro.core.generative import run_generative_apparate, run_generative_vanilla
-from repro.core.pipeline import run_apparate, run_vanilla
 from repro.generative.sequences import make_generative_workload
 from repro.workloads.nlp import make_nlp_workload
 from repro.workloads.video import make_video_workload
@@ -16,8 +14,9 @@ import numpy as np
 @pytest.mark.parametrize("model,scene", [("resnet18", "urban-day"), ("vgg11", "highway")])
 def test_cv_end_to_end_latency_accuracy_throughput(model, scene):
     workload = make_video_workload(scene, num_frames=2500, seed=41)
-    vanilla = run_vanilla(model, workload)
-    apparate = run_apparate(model, workload)
+    report = Experiment(model=model, workload=workload).run(["vanilla", "apparate"])
+    vanilla = report.result("vanilla").raw
+    apparate = report.result("apparate").raw
     # Latency improves, accuracy within constraint, throughput preserved,
     # tail within the 2% ramp budget.
     assert apparate.metrics.median_latency() < vanilla.median_latency()
@@ -28,18 +27,23 @@ def test_cv_end_to_end_latency_accuracy_throughput(model, scene):
 
 def test_nlp_end_to_end_on_both_platforms():
     workload = make_nlp_workload("amazon", num_requests=2500, rate_qps=20, seed=42)
-    for platform in ("clockwork", "tfserve"):
-        vanilla = run_vanilla("bert-base", workload, platform=platform)
-        apparate = run_apparate("bert-base", workload, platform=platform)
+    sweep = Experiment(model="bert-base", workload=workload) \
+        .sweep(systems=["vanilla", "apparate"], platform=["clockwork", "tfserve"])
+    assert len(sweep) == 2
+    for point in sweep:
+        vanilla = point.report.result("vanilla").raw
+        apparate = point.report.result("apparate").raw
         assert apparate.metrics.median_latency() <= vanilla.median_latency()
         assert apparate.metrics.accuracy() >= 0.98
 
 
 def test_apparate_between_vanilla_and_oracle():
     workload = make_video_workload("urban-day", num_frames=2500, seed=43)
-    vanilla = run_vanilla("resnet50", workload)
-    apparate = run_apparate("resnet50", workload)
-    oracle = np.median(run_optimal_classification("resnet50", workload))
+    report = Experiment(model="resnet50", workload=workload) \
+        .run(["vanilla", "apparate", "optimal"])
+    vanilla = report.result("vanilla").raw
+    apparate = report.result("apparate").raw
+    oracle = np.median(report.result("optimal").raw)
     assert oracle <= apparate.metrics.median_latency() <= vanilla.median_latency()
 
 
@@ -47,8 +51,11 @@ def test_accuracy_constraint_sweep_monotone_wins():
     """Figure 19: looser accuracy constraints never reduce latency savings."""
     workload = make_video_workload("urban-day", num_frames=2500, seed=44)
     medians = []
-    for constraint in (0.01, 0.05):
-        result = run_apparate("resnet50", workload, accuracy_constraint=constraint)
+    sweep = Experiment(model="resnet50", workload=workload) \
+        .sweep(systems=["apparate"], accuracy_constraint=[0.01, 0.05])
+    for point in sweep:
+        constraint = point.params["accuracy_constraint"]
+        result = point.report.result("apparate").raw
         medians.append(result.metrics.median_latency())
         assert result.metrics.accuracy() >= 1.0 - constraint - 0.01
     assert medians[1] <= medians[0] * 1.05
@@ -57,8 +64,9 @@ def test_accuracy_constraint_sweep_monotone_wins():
 def test_ramp_budget_sweep_monotone_wins():
     """Table 3: larger ramp budgets never reduce median latency savings (much)."""
     workload = make_video_workload("urban-day", num_frames=2500, seed=45)
-    small = run_apparate("resnet50", workload, ramp_budget=0.02)
-    large = run_apparate("resnet50", workload, ramp_budget=0.10)
+    sweep = Experiment(model="resnet50", workload=workload) \
+        .sweep(systems=["apparate"], ramp_budget=[0.02, 0.10])
+    small, large = (point.report.result("apparate").raw for point in sweep)
     assert large.metrics.median_latency() <= small.metrics.median_latency() * 1.10
 
 
@@ -67,8 +75,9 @@ def test_generative_end_to_end():
     # feedback to both activate exits and hold the accuracy constraint.
     workload = make_generative_workload("cnn-dailymail", num_sequences=90, rate_qps=2.0,
                                         seed=46)
-    vanilla = run_generative_vanilla("t5-large", workload)
-    apparate = run_generative_apparate("t5-large", workload)
+    report = Experiment(model="t5-large", workload=workload).run(["vanilla", "apparate"])
+    vanilla = report.result("vanilla").raw
+    apparate = report.result("apparate").raw
     assert apparate.metrics.median_tpt() < vanilla.median_tpt()
     assert apparate.metrics.mean_sequence_accuracy() >= 0.98
 
@@ -88,7 +97,7 @@ def test_full_api_round_trip():
 
 def test_determinism_across_runs():
     workload = make_video_workload("urban-day", num_frames=1500, seed=48)
-    a = run_apparate("resnet50", workload, seed=3)
-    b = run_apparate("resnet50", workload, seed=3)
+    a, b = (Experiment(model="resnet50", workload=workload, seed=3)
+            .run(["apparate"]).result("apparate").raw for _ in range(2))
     assert a.metrics.median_latency() == pytest.approx(b.metrics.median_latency())
     assert a.metrics.accuracy() == pytest.approx(b.metrics.accuracy())

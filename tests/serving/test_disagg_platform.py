@@ -9,11 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import ClusterSpec, Experiment
 from repro.core.generative import (build_disaggregated_platform,
-                                   build_generative_cluster,
-                                   run_generative_apparate_disagg,
-                                   run_generative_vanilla,
-                                   run_generative_vanilla_disagg)
+                                   build_generative_cluster)
 from repro.generative.decoding import DecodeTimingModel, PrefillModel
 from repro.generative.sequences import (GenerativeWorkload, SequenceSample,
                                         make_generative_workload)
@@ -349,7 +347,8 @@ def test_deadline_shedding_in_monolithic_cluster_and_engine():
 
 def test_ttft_reported_for_single_engine_runs():
     workload = make_workload([0.0, 0.0, 0.0], tokens=2, prompts=0)
-    metrics = run_generative_vanilla(SPEC, workload, max_batch_size=1)
+    metrics = Experiment(model=SPEC, workload=workload, max_batch_size=1) \
+        .run(["vanilla"]).result("vanilla").raw
     # Slot queueing counts into TTFT: 18, 36+18? -> waits 0/36/72 + step.
     np.testing.assert_allclose(sorted(metrics.ttft_values()),
                                [STEP_MS, 3 * STEP_MS, 5 * STEP_MS])
@@ -377,20 +376,24 @@ def test_monolithic_inslot_prefill_counts_into_ttft():
     assert ttfts[1] == pytest.approx(3 * STEP_MS)            # second: 1 busy slot
 
 
-# ------------------------------------------------------------------- shims
+# ------------------------------------------------------- Experiment dispatch
 
 def test_disagg_shims_match_experiment_dispatch(small_generative_workload):
-    metrics = run_generative_vanilla_disagg(SPEC, small_generative_workload,
-                                            prefill_replicas=1,
-                                            decode_replicas=2)
+    """A disaggregated ClusterSpec dispatches every system to the two pools."""
+    def pools(fleet_mode):
+        return ClusterSpec(replicas=2, disaggregate=True, prefill_replicas=1,
+                           decode_replicas=2, fleet_mode=fleet_mode)
+
+    metrics = Experiment(model=SPEC, workload=small_generative_workload,
+                         cluster=pools("independent")) \
+        .run(["vanilla"]).result("vanilla").raw
     assert isinstance(metrics, DisaggregatedMetrics)
     assert len(metrics.aggregate().tokens) == \
         small_generative_workload.total_tokens()
 
-    outcome = run_generative_apparate_disagg(SPEC, small_generative_workload,
-                                             prefill_replicas=1,
-                                             decode_replicas=2,
-                                             fleet_mode="shared")
+    outcome = Experiment(model=SPEC, workload=small_generative_workload,
+                         cluster=pools("shared")) \
+        .run(["apparate"]).result("apparate").raw
     assert len(set(id(p) for p in outcome.policies)) == 1    # one shared policy
     assert len(outcome.metrics.aggregate().tokens) == \
         small_generative_workload.total_tokens()
@@ -399,9 +402,13 @@ def test_disagg_shims_match_experiment_dispatch(small_generative_workload):
 def test_disagg_conserves_tokens_vs_single_engine():
     workload = make_generative_workload("cnn-dailymail", num_sequences=60,
                                         rate_qps=10.0, seed=5)
-    single = run_generative_vanilla(SPEC, workload)
-    disagg = run_generative_vanilla_disagg(SPEC, workload, prefill_replicas=2,
-                                           decode_replicas=4)
+    single = Experiment(model=SPEC, workload=workload) \
+        .run(["vanilla"]).result("vanilla").raw
+    disagg = Experiment(model=SPEC, workload=workload,
+                        cluster=ClusterSpec(replicas=4, disaggregate=True,
+                                            prefill_replicas=2,
+                                            decode_replicas=4)) \
+        .run(["vanilla"]).result("vanilla").raw
     single_ids = Counter((t.sequence_id, t.token_index) for t in single.tokens)
     assert token_multiset(disagg) == single_ids
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.pipeline import build_cluster, model_stack, run_vanilla_cluster
+from repro.api import ClusterSpec, Experiment
+from repro.core.pipeline import build_cluster, model_stack
 from repro.serving.autoscaler import (AUTOSCALER_NAMES, FixedAutoscaler,
                                       PredictiveAutoscaler, ReactiveAutoscaler,
                                       build_autoscaler,
@@ -457,12 +458,11 @@ def test_heterogeneous_fleet_least_work_left_beats_unweighted_round_robin():
     workload = make_video_workload("urban-day", num_frames=2500, fps=150.0,
                                    seed=3)
     profiles = [2.0, 2.0, 0.5, 0.5]
-    rr = run_vanilla_cluster("resnet50", workload, replicas=4,
-                             balancer="round_robin", profiles=profiles,
-                             drop_expired=False, seed=0)
-    lwl = run_vanilla_cluster("resnet50", workload, replicas=4,
-                              balancer="least_work_left", profiles=profiles,
-                              drop_expired=False, seed=0)
+    sweep = Experiment(model="resnet50", workload=workload,
+                       cluster=ClusterSpec(replicas=4, profiles=profiles),
+                       drop_expired=False) \
+        .sweep(systems=["vanilla"], balancer=["round_robin", "least_work_left"])
+    rr, lwl = (point.report.result("vanilla").raw for point in sweep)
     assert sorted(r.request_id for r in rr.aggregate().responses) \
         == sorted(r.request_id for r in lwl.aggregate().responses)
     assert lwl.aggregate().p99_latency() < rr.aggregate().p99_latency()

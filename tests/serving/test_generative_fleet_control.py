@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import ClusterSpec, Experiment
 from repro.core.generative import (ApparateTokenPolicy,
                                    _resolve_generative_autoscaler,
                                    build_generative_cluster,
@@ -294,9 +295,9 @@ def test_cluster_metrics_empty_run_is_nan_safe():
 
 
 def test_fleet_summary_reports_deferred_flush_counts(small_generative_workload):
-    from repro.core.generative import _generative_apparate_cluster_impl
-    outcome = _generative_apparate_cluster_impl(
-        SPEC, small_generative_workload, replicas=2, flush_limit=2, seed=4)
+    outcome = Experiment(model=SPEC, workload=small_generative_workload,
+                         cluster=ClusterSpec(replicas=2), seed=4) \
+        .run(["apparate"]).result("apparate").raw
     summary = outcome.summary()
     assert summary["deferred_tokens"] >= summary["deferred_flushes"]
     assert summary["deferred_flushes"] > 0
@@ -304,13 +305,12 @@ def test_fleet_summary_reports_deferred_flush_counts(small_generative_workload):
 
 
 def test_shared_fleet_mode_uses_one_policy():
-    from repro.core.generative import _generative_apparate_cluster_impl
     workload = make_workload(np.arange(0.0, 3000.0, 10.0), tokens=8)
-    outcome = _generative_apparate_cluster_impl(SPEC, workload, replicas=3,
-                                                fleet_mode="shared", seed=1)
+    outcome = Experiment(model=SPEC, workload=workload, seed=1,
+                         cluster=ClusterSpec(replicas=3, fleet_mode="shared")) \
+        .run(["apparate"]).result("apparate").raw
     assert len(outcome.policies) == 3
     assert len({id(p) for p in outcome.policies}) == 1
     assert outcome.summary()["num_policies"] == 1.0
     with pytest.raises(ValueError, match="anarchic"):
-        _generative_apparate_cluster_impl(SPEC, workload, replicas=2,
-                                          fleet_mode="anarchic")
+        ClusterSpec(replicas=2, fleet_mode="anarchic")
